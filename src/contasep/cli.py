@@ -12,10 +12,9 @@ import csv
 import json
 import os
 import random
-import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -26,6 +25,7 @@ from .core import (
     CouplingError,
     DegenerateInputError,
     Domain,
+    InvariantViolationError,
     Line,
     ObstacleField,
     ParticleConfig,
@@ -95,7 +95,17 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
                 params["seed"] = seed
             if "seed" not in params:
                 raise ConfigurationError("poisson obstacle generator needs a seed")
-        return make_obstacles(spec["generator"], domain, **params)
+        z = make_obstacles(spec["generator"], domain, **params)
+        if mode == "fast":
+            # Generator defaults are ints or Fractions; the vectorized path
+            # runs only on an all-float field.
+            z = replace(
+                z,
+                positions=tuple(float(p) for p in z.positions),
+                velocities=tuple(float(v) for v in z.velocities),
+                top_speed=float(z.top_speed),
+            )
+        return z
     positions = [parse_scalar(p, mode) for p in spec["positions"]]
     count = len(positions)
     waits = spec.get("waits", [0] * count)
@@ -315,36 +325,28 @@ def _ring_density(x: ParticleConfig):
     return None
 
 
-def _fd_point(payload: dict) -> None:
-    """Worker: one density point of a sweep, written to its own part file."""
-    cfg = load_config(
-        payload["config_path"],
-        mode_override=payload["mode"],
-        steps_override=payload["steps"],
-        burn_in_override=payload["burn_in"],
-    )
-    z = _require_field(cfg)
-    domain = cfg.domain
-    count = payload["count"]
-    offset = parse_scalar(payload["offset"], cfg.mode)
-    x = ParticleConfig.equispaced(domain, count, offset)
+def _fd_point(cfg: ExperimentConfig, rho_ext, offset, count: int) -> tuple:
+    """One density point of a sweep over cfg's field: its FD_HEADER row."""
+    z = cfg.obstacles
+    x = ParticleConfig.equispaced(cfg.domain, count, offset)
     rho_x = _ring_density(x)
-    rho_ext = extended_density(z)
     state = SimState.initial(x)
-    if cfg.burn_in:
-        run(state, z, cfg.burn_in)
+    violations = run(state, z, cfg.burn_in).invariant_violations if cfg.burn_in else 0
     traj = run(state, z, cfg.steps)
-    measured = velocity_estimate(traj).mean
-    row = (
+    violations += traj.invariant_violations
+    if violations:
+        raise InvariantViolationError(
+            f"fd-sweep point rho_x={format_scalar(rho_x)}: {violations} invariant violations"
+        )
+    return (
         rho_x,
         rho_ext,
-        measured,
+        velocity_estimate(traj).mean,
         predict_velocity(rho_x, rho_ext, z.top_speed),
         classify_phase(rho_x, rho_ext, z.top_speed),
         cfg.steps,
-        domain.length,
+        cfg.domain.length,
     )
-    _write_csv(Path(payload["part_path"]), FD_HEADER, [row])
 
 
 FD_HEADER = ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps", "domain_L")
@@ -371,41 +373,20 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
         else:
             rho = rho_min + (rho_max - rho_min) * i / (args.points - 1)
         counts.append(max(1, round(rho * length_frac)))
-    offset = cfg.raw.get("particle_offset", 0)
+    offset = parse_scalar(cfg.raw.get("particle_offset", 0), cfg.mode)
+    point = partial(_fd_point, cfg, extended_density(z), offset)
 
+    # The worker count changes only where the points run, never the rows.
+    workers = args.threads or min(len(counts), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(point, counts))
+    else:
+        rows = list(map(point, counts))
     cfg.out.mkdir(parents=True, exist_ok=True)
-    parts_dir = cfg.out / "fd_parts"
-    parts_dir.mkdir(exist_ok=True)
-    payloads = [
-        {
-            "config_path": args.config,
-            "mode": cfg.mode,
-            "steps": cfg.steps,
-            "burn_in": cfg.burn_in,
-            "count": count,
-            "offset": offset,
-            "part_path": str(parts_dir / f"point_{i:03d}.csv"),
-        }
-        for i, count in enumerate(counts)
-    ]
-    try:
-        workers = args.threads or min(len(payloads), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(_fd_point, payloads))
-        else:
-            for payload in payloads:
-                _fd_point(payload)
-        rows = []
-        for payload in payloads:
-            with open(payload["part_path"], "r", encoding="utf-8") as fh:
-                rows.extend(list(csv.reader(fh))[1:])
-        with open(cfg.out / "fd.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FD_HEADER)
-            writer.writerows(rows)
-    finally:
-        shutil.rmtree(parts_dir, ignore_errors=True)
+    _write_csv(cfg.out / "fd.csv", FD_HEADER, rows)
     return 0
 
 

@@ -194,6 +194,8 @@ def apply_pairing(state: CoupledState, events: list) -> CoupledState:
     strictly passed the least such one, the mover takes over that pairing and
     the former partner becomes a defect; otherwise the mover pairs with the
     repair target if one exists. Takeovers move defects rightward, never left.
+    Last, on each side the pairs of every stack of co-located particles go to
+    the particles that leave the stack first.
     """
     fwd = dict(state.pairing)
     inv = {j: i for i, j in fwd.items()}
@@ -244,10 +246,75 @@ def apply_pairing(state: CoupledState, events: list) -> CoupledState:
             mine[i] = target % n
             theirs[target % n] = i
 
+    _order_stacked_pairs(fwd, inv, u_x, u_b, period)
+    _order_stacked_pairs(inv, fwd, u_b, u_x, period)
+
     for i, j in fwd.items():
         if inv.get(j) != i:
             raise InvariantViolationError("pairing maps fell out of sync")
     return CoupledState(state.x, state.xbar, state.z, fwd, state.time)
+
+
+def _stack_depths(u, period):
+    """Per particle, how many particles stand at its exact position ahead of it.
+
+    A stack releases one particle per step, its leader first (the others are
+    blocked by the gap to their neighbour's old position), so depth 0 leaves
+    next and depth is the release order within the stack.
+    """
+    n = len(u)
+    depths = [0] * n
+    for i in range(n - 2, -1, -1):
+        if u[i + 1] == u[i]:
+            depths[i] = depths[i + 1] + 1
+    if period is not None and n > 1 and u[0] + period == u[-1]:
+        # the stack straddles the index seam: particle 0 leads particle n-1
+        d = depths[0] + 1
+        for i in range(n - 1, 0, -1):
+            if u[i] != u[-1]:
+                break
+            depths[i] += d
+    return depths
+
+
+def _order_stacked_pairs(mine, theirs, u_mine, u_theirs, period):
+    """Hand the pairs of each stack to the particles that leave it first.
+
+    Particles of one side that share a position are interchangeable at that
+    moment, so their pairs are re-dealt: the stack's leader holds the partner
+    furthest ahead (ties: the partner that leaves its own stack first), the
+    next particle the next partner, and any defects of the stack go to its
+    tail. The positions of pairs and defects are unchanged, so properness is
+    too. Without this, a stack's leader may leave while its partner waits, or
+    a paired follower waits while a defect leader moves into the pair's span.
+    """
+    n = len(u_mine)
+    depths = _stack_depths(u_mine, period)
+    stacks = {}
+    for i, d in enumerate(depths):
+        if d:
+            stacks.setdefault((i + d) % n, []).append(i)
+    theirs_depths = None
+    for leader, followers in stacks.items():
+        members = [leader] + sorted(followers, key=depths.__getitem__)
+        partners = [mine.pop(i) for i in members if i in mine]
+        if not partners:
+            continue
+        if theirs_depths is None:
+            theirs_depths = _stack_depths(u_theirs, period)
+        base = u_mine[leader]
+
+        def lead(j):
+            offset = u_theirs[j] - base
+            if period is not None:
+                offset %= period
+                if 2 * offset > period:
+                    offset -= period
+            return (-offset, theirs_depths[j])
+
+        for i, j in zip(members, sorted(partners, key=lead)):
+            mine[i] = j
+            theirs[j] = i
 
 
 def _arc_defects(defect_reps, lo, width, length):

@@ -337,7 +337,9 @@ def _run_fast(state: SimState, z: ObstacleField, steps: int, snapshot_at: set) -
 
     Runs the same candidate comparison as the scalar engine, so results are
     bit-identical to it on eligible inputs. Invariants are checked vectorized
-    every step.
+    every step. One searchsorted per step serves both the segment velocity and
+    the next obstacle; each step's neighbour arrays and interval counts are
+    reused by the next.
     """
     ring = isinstance(state.domain, Ring)
     reps = np.array(state.reps, dtype=np.float64)
@@ -348,7 +350,18 @@ def _run_fast(state: SimState, z: ObstacleField, steps: int, snapshot_at: set) -
     zvel = np.array(z.velocities, dtype=np.float64)
     v_top = float(z.top_speed)
     length = float(state.domain.length) if ring else None
-    intervals = [(float(a), float(b)) for a, b in default_intervals(state.domain)]
+    # indexed by searchsorted(zpos, p, "right"): the speed of p's segment and
+    # the next obstacle strictly ahead of p
+    if ring:
+        seg_vel = np.append(zvel[-1:], zvel)
+        obs_ahead = np.append(zpos, zpos[:1])
+    else:
+        seg_vel = np.append(v_top, zvel)
+        obs_ahead = np.append(zpos, INFINITY)
+    seg_cap = seg_vel + _FLOAT_TOL
+    bounds = np.array(
+        [float(v) for ab in default_intervals(state.domain) for v in ab], dtype=np.float64
+    )
     violations = 0
     snapshots = {}
 
@@ -356,58 +369,66 @@ def _run_fast(state: SimState, z: ObstacleField, steps: int, snapshot_at: set) -
         u = laps * length + reps if ring else reps
         snapshots[t] = tuple(float(x) for x in u)
 
+    def interval_counts(r):
+        edges = np.searchsorted(np.sort(r), bounds)
+        return edges[1::2] - edges[::2]
+
+    def ahead(a):
+        return np.concatenate((a[1:], a[:1]))
+
+    if not m:
+        vcap = np.full(n, v_top)
+        vcap_tol = vcap + _FLOAT_TOL
+    if ring:
+        w_gap = ahead(laps) - laps
+        w_gap[-1] += 1
+        r_gap = ahead(reps)
+    counts = interval_counts(reps) if bounds.size else None
     if 0 in snapshot_at:
         snap(0)
     for t in range(steps):
         if m:
-            seg = np.searchsorted(zpos, reps, side="right") - 1
-            if ring:
-                vcap = zvel[seg]  # seg == -1 wraps to the last segment
-            else:
-                vcap = np.where(seg < 0, v_top, zvel[np.maximum(seg, 0)])
-        else:
-            vcap = np.full(n, v_top)
+            idx = np.searchsorted(zpos, reps, side="right")
+            vcap = seg_vel[idx]
+            vcap_tol = seg_cap[idx]
         t_spd = reps + vcap
         if ring:
-            w_best = (t_spd >= length).astype(np.int64)
-            r_best = np.where(t_spd >= length, t_spd - length, t_spd)
-            w_gap = np.roll(laps, -1) - laps
-            w_gap[-1] += 1
-            r_gap = np.roll(reps, -1)
-            take = (w_gap < w_best) | ((w_gap == w_best) & (r_gap <= r_best))
+            wrap = t_spd >= length
+            w_best = wrap.astype(np.int64)
+            r_best = np.where(wrap, t_spd - length, t_spd)
+            take = np.where(w_gap == w_best, r_gap <= r_best, w_gap < w_best)
             w_best = np.where(take, w_gap, w_best)
             r_best = np.where(take, r_gap, r_best)
             if m:
-                idx = np.searchsorted(zpos, reps, side="right")
                 w_obs = (idx == m).astype(np.int64)
-                r_obs = zpos[np.where(idx == m, 0, idx)]
-                take = (w_obs < w_best) | ((w_obs == w_best) & (r_obs <= r_best))
+                r_obs = obs_ahead[idx]
+                take = np.where(w_obs == w_best, r_obs <= r_best, w_obs < w_best)
                 w_best = np.where(take, w_obs, w_best)
                 r_best = np.where(take, r_obs, r_best)
-                barrier_ok = (w_best < w_obs) | ((w_best == w_obs) & (r_best <= r_obs))
+                barrier_ok = np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs)
                 violations += int(n - np.count_nonzero(barrier_ok))
             disp = (w_best * length + r_best) - reps
             new_laps = laps + w_best
-            gap_after = (np.roll(new_laps, -1) - new_laps) * length + np.roll(r_best, -1) - r_best
+            w_gap = ahead(new_laps) - new_laps
+            r_gap = ahead(r_best)
+            gap_after = w_gap * length + r_gap - r_best
             gap_after[-1] += length
             violations += int(np.count_nonzero(gap_after < -_FLOAT_TOL))
+            w_gap[-1] += 1
         else:
             r_best = np.minimum(t_spd, np.append(reps[1:], INFINITY))
             if m:
-                idx = np.searchsorted(zpos, reps, side="right")
-                r_obs = np.where(idx == m, INFINITY, zpos[np.minimum(idx, m - 1)])
+                r_obs = obs_ahead[idx]
                 r_best = np.minimum(r_best, r_obs)
                 violations += int(np.count_nonzero(r_best > r_obs))
             disp = r_best - reps
             new_laps = laps
             violations += int(np.count_nonzero(r_best[:-1] > r_best[1:] + _FLOAT_TOL))
         violations += int(np.count_nonzero(disp < -_FLOAT_TOL))
-        violations += int(np.count_nonzero(disp > vcap + _FLOAT_TOL))
-        for a, b in intervals:
-            before = int(np.count_nonzero((reps >= a) & (reps < b)))
-            after = int(np.count_nonzero((r_best >= a) & (r_best < b)))
-            if abs(after - before) > 1:
-                violations += 1
+        violations += int(np.count_nonzero(disp > vcap_tol))
+        if counts is not None:
+            before, counts = counts, interval_counts(r_best)
+            violations += int(np.count_nonzero(np.abs(counts - before) > 1))
         reps = r_best
         laps = new_laps
         if t + 1 in snapshot_at:

@@ -2,8 +2,14 @@ import csv
 import json
 from fractions import Fraction
 
-from contasep.cli import main
+import pytest
+
+from contasep import dynamics
+from contasep.cli import load_config, main
+from contasep.core import ParticleConfig, format_scalar
+from contasep.dynamics import SimState, run
 from contasep.scenarios import SCENARIOS, ScenarioResult, ScenarioSpec
+from contasep.stats import velocity_estimate
 
 F = Fraction
 
@@ -17,6 +23,16 @@ RING_CFG = {
     "particles": {"equispaced": {"count": 6, "offset": "0.25"}},
     "steps": 200,
 }
+
+# Generator defaults (velocity 1, offset 0) are ints; fast mode must still
+# load an all-float field.
+GENERATED_RING_CFG = {
+    "domain": {"kind": "ring", "length": "600"},
+    "obstacles": {"generator": "equispaced", "params": {"spacing": "3"}},
+    "steps": 20,
+}
+
+SWEEP_ARGS = ["--rho-min", "0.25", "--rho-max", "1.5", "--points", "5"]
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -67,21 +83,68 @@ def test_extend_outputs(tmp_path):
     assert summary["rho_z_ext"] == "1"
 
 
-def test_fd_sweep_monotone_and_merged(tmp_path):
+@pytest.mark.parametrize("mode", ["exact", "fast"])
+def test_fd_sweep_monotone_and_merged(tmp_path, mode):
     cfg = write_config(tmp_path, RING_CFG)
-    out = tmp_path / "fd"
-    code = main([
-        "fd-sweep", "--config", cfg, "--out", str(out), "--steps", "300",
-        "--rho-min", "0.25", "--rho-max", "1.5", "--points", "5",
-        "--threads", "2",
-    ])
-    assert code == 0
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fd{threads}"
+        code = main([
+            "fd-sweep", "--config", cfg, "--out", str(out), "--steps", "300",
+            "--mode", mode, "--threads", threads, *SWEEP_ARGS,
+        ])
+        assert code == 0
+        assert [f.name for f in out.iterdir()] == ["fd.csv"]
+        written.append((out / "fd.csv").read_bytes())
+    assert written[0] == written[1]
     header, rows = read_csv(out / "fd.csv")
     assert header == ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps", "domain_L")
     assert len(rows) == 5
     measured = [F(r[2]) for r in rows]
     assert all(a >= b for a, b in zip(measured, measured[1:]))
-    assert not (out / "fd_parts").exists()
+    if mode == "fast":
+        loaded = load_config(cfg, mode_override="fast", steps_override=300)
+        for row in rows:
+            x = ParticleConfig.equispaced(loaded.domain, round(float(row[0]) * 12), 0.0)
+            state = SimState.initial(x)
+            run(state, loaded.obstacles, loaded.burn_in)
+            traj = run(state, loaded.obstacles, loaded.steps)
+            assert row[2] == format_scalar(velocity_estimate(traj).mean)
+
+
+def test_fast_mode_generated_field_runs_vectorized(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, GENERATED_RING_CFG)
+    loaded = load_config(cfg, mode_override="fast")
+    x = ParticleConfig.equispaced(loaded.domain, 60, 0.0)
+    assert dynamics._fast_eligible(SimState.initial(x), loaded.obstacles)
+    real, calls = dynamics._run_fast, []
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_run_fast", spy)
+    code = main([
+        "fd-sweep", "--config", cfg, "--out", str(tmp_path / "fd"),
+        "--mode", "fast", "--threads", "1", "--rho-min", "0.1", "--rho-max", "0.2", "--points", "2",
+    ])
+    assert code == 0
+    assert calls == [2, 20, 2, 20]
+
+
+def test_fd_sweep_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
+    real = dynamics._run_fast
+    monkeypatch.setattr(dynamics, "_run_fast", lambda *args: (real(*args)[0], 1))
+    cfg = write_config(tmp_path, RING_CFG)
+    out = tmp_path / "fd"
+    code = main([
+        "fd-sweep", "--config", cfg, "--out", str(out),
+        "--mode", "fast", "--threads", "1", *SWEEP_ARGS,
+    ])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err == "property violated: fd-sweep point rho_x=0.25: 2 invariant violations"
 
 
 def test_fd_sweep_rejects_empty_sweep(tmp_path):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from contasep import (
@@ -224,6 +224,39 @@ def test_proper_pair_straddling_ring_seam():
     assert "obstacle" in violations[0]
 
 
+def test_stacked_pairs_leave_their_stacks_in_order():
+    # on the wait-1 obstacle at 7/2 (= 27/2 one lap on) x1 has just arrived
+    # behind x2, which leaves next; on the other side b2 has just arrived
+    # behind b3. Pairing x1 with b3 and x2 with b2 crosses the two pairs one
+    # step later, so the leaders must end up paired with each other
+    ring = Ring(10)
+    z = make_field((F(5, 2), F(7, 2), 5), ring, waits=(0, 1, 1))
+
+    def side(unwrapped, waits):
+        return SimState(
+            [u % 10 for u in unwrapped],
+            [int(u // 10) for u in unwrapped],
+            [-1] * len(unwrapped),
+            list(waits),
+            8,
+            ring,
+        )
+
+    state = CoupledState(
+        side((F(25, 2), F(27, 2), F(27, 2), 15, 15), (0, 1, 0, 1, 0)),
+        side((6, 11, F(27, 2), F(27, 2), 15), (0, 0, 1, 0, 1)),
+        z,
+        pairing={1: 3, 2: 2, 3: 4, 4: 0},
+        time=8,
+    )
+    assert is_proper(state) == []
+    state = apply_pairing(state, [])
+    assert state.pairing == {1: 2, 2: 3, 3: 4, 4: 0}
+    prev, state = advance(state)
+    state = apply_pairing(state, detect_overtakes(prev, state))
+    assert is_proper(state) == []
+
+
 def test_run_coupled_identical_sides_never_drift():
     ring = Ring(12)
     z = make_field((0, 4, 8), ring)
@@ -273,6 +306,9 @@ def test_run_coupled_series_shape_and_verdict():
 
 @settings(max_examples=15)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(seed=331)
+@example(seed=385)
+@example(seed=1364)
 def test_run_coupled_integrity_on_random_instances(seed):
     # the run itself asserts properness and balance every step; surviving
     # without an exception is the property under test

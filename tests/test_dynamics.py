@@ -204,6 +204,23 @@ def test_fast_path_reports_zero_invariant_violations():
     assert traj.invariant_violations == 0
 
 
+def test_fast_path_counts_violations_like_the_checker():
+    # particle 1 stands ahead of particle 2, out of order: it snaps back onto
+    # its "neighbour" at 0.5, a negative displacement that leaves the ring
+    # order broken; both counters see exactly those two violations
+    ring = Ring(8.0)
+    z = ObstacleField.empty(ring, 1.0)
+
+    def broken():
+        return SimState([6.0, 6.2, 0.5, 0.7], [0] * 4, [-1] * 4, [0] * 4, 0, ring)
+
+    fast = run(broken(), z, 1)
+    checker = InvariantChecker(z)
+    slow = run(broken(), z, 1, observers=(checker,))
+    assert fast.final_state.reps == slow.final_state.reps == [6.2, 0.5, 0.7, 1.7]
+    assert fast.invariant_violations == len(checker.violations) == 2
+
+
 ring_cases = st.builds(
     lambda length, picks, obst, vel: (
         ParticleConfig.from_iterable(tuple(F(p, 4) for p in picks), Ring(length)),
