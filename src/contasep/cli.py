@@ -291,11 +291,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         return 2
 
     state = SimState.initial(x)
-    if cfg.burn_in:
-        run(state, z, cfg.burn_in)
+    violations = run(state, z, cfg.burn_in).invariant_violations if cfg.burn_in else 0
     writer = TrajectoryWriter() if cfg.raw.get("trajectory", True) else None
     observers = (writer,) if writer else ()
     traj = run(state, z, cfg.steps, observers=observers)
+    violations += traj.invariant_violations
     est = velocity_estimate(traj)
     _write_csv(
         cfg.out / "trajectory.csv",
@@ -311,7 +311,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             "V_predicted": predicted,
             "steps": cfg.steps,
             "burn_in": cfg.burn_in,
-            "invariant_violations": traj.invariant_violations,
+            "invariant_violations": violations,
         },
     )
     return 0
@@ -356,6 +356,8 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
     z = _require_field(cfg)
     if not isinstance(cfg.domain, Ring):
         raise ConfigurationError("density sweeps need a ring domain")
+    if args.threads is not None and args.threads < 1:
+        raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
     if args.points < 1:
         raise DegenerateInputError("a sweep needs at least one point")
     if cfg.steps < 1:

@@ -273,6 +273,54 @@ class ObstacleField:
         return (INFINITY, -1)
 
 
+def _lattice_domain(domain: Domain, scale: int) -> Domain:
+    if isinstance(domain, Ring):
+        return Ring(_on_lattice(domain.length, scale))
+    end = _on_lattice(domain.end, scale) if domain.finite else domain.end
+    return Line(_on_lattice(domain.start, scale), end)
+
+
+def _on_lattice(v, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
+
+
+def to_lattice(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple | None:
+    """Exact inputs as integers on the lattice (1/D)Z, or None if any is a float.
+
+    D is the lcm of the denominators of the domain bounds, the field's
+    positions, velocities and top speed, and every given position. Returns
+    (D, domain, field, *positions), each value multiplied by D. Every move of
+    the dynamics lands on an obstacle, a neighbour's old position or p + v, so
+    a run stays on the lattice, and its comparisons, sums and differences on
+    these ints are exactly D times those on the inputs. An infinite line end
+    stays infinite.
+    """
+    values = [*z.positions, *z.velocities, z.top_speed]
+    for dom in (domain, z.domain):
+        if isinstance(dom, Ring):
+            values.append(dom.length)
+        else:
+            values.append(dom.start)
+            if dom.finite:
+                values.append(dom.end)
+    for group in positions:
+        values.extend(group)
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    scale = math.lcm(*(v.denominator for v in values))
+    lattice = _lattice_domain(domain, scale)
+    field_domain = lattice if z.domain == domain else _lattice_domain(z.domain, scale)
+    scaled_z = ObstacleField(
+        tuple(_on_lattice(p, scale) for p in z.positions),
+        z.waits,
+        tuple(_on_lattice(v, scale) for v in z.velocities),
+        _on_lattice(z.top_speed, scale),
+        field_domain,
+    )
+    scaled = (tuple(_on_lattice(p, scale) for p in group) for group in positions)
+    return (scale, lattice, scaled_z, *scaled)
+
+
 def modified_gap(x: ParticleConfig, z: ObstacleField, i: int) -> Scalar:
     """min of the particle gap and the distance to the next obstacle strictly ahead."""
     g = gap(x, i)

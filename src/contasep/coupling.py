@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -22,6 +23,7 @@ from .core import (
     ObstacleField,
     ParticleConfig,
     Ring,
+    to_lattice,
 )
 from .dynamics import SimState, _step_scalar
 
@@ -454,6 +456,8 @@ def run_coupled(
     Requires a ring and equal particle counts (equal densities). A proper-pair
     violation aborts with a state dump. The verdict is "nearly successful"
     when the final defect count is below threshold times the initial one.
+    Exact input is stepped, paired and checked as integers on its lattice
+    (see to_lattice); rows, the final state and the dump are in input units.
     """
     if not isinstance(x.domain, Ring):
         raise ConfigurationError("coupled runs require a ring domain")
@@ -465,7 +469,13 @@ def run_coupled(
         )
     if x.count == 0:
         raise ConfigurationError("coupled runs need at least one particle per side")
-    state = CoupledState.initial(x, xbar, z)
+    lattice = to_lattice(x.domain, z, x.positions, xbar.positions)
+    if lattice is None:
+        scale, z_work = None, z
+        state = CoupledState.initial(x, xbar, z)
+    else:
+        scale, domain, z_work, px, pb = lattice
+        state = CoupledState.initial(ParticleConfig(px, domain), ParticleConfig(pb, domain), z_work)
     n_diff = state.x.count - state.xbar.count
     initial_defects = state.x.count + state.xbar.count
     start_x = state.x.unwrapped()[0]
@@ -474,8 +484,8 @@ def run_coupled(
 
     for t in range(1, steps + 1):
         prev = state.copy()
-        _step_scalar(state.x, z)
-        _step_scalar(state.xbar, z)
+        _step_scalar(state.x, z_work)
+        _step_scalar(state.xbar, z_work)
         state.time = t
         events = detect_overtakes(prev, state)
         state = apply_pairing(state, events)
@@ -485,16 +495,18 @@ def run_coupled(
         if d_x - d_b != n_diff:
             raise InvariantViolationError(f"defect count difference changed at t={t}")
         v_gap_abs = abs((state.x.unwrapped()[0] - start_x) - (state.xbar.unwrapped()[0] - start_b))
-        proper_violations = is_proper(state) if t % check_every == 0 else []
-        if proper_violations:
+        if scale is not None:
+            v_gap_abs = Fraction(v_gap_abs, scale)
+        if t % check_every == 0 and is_proper(state):
+            shown = _in_input_units(state, z, scale)
             raise CouplingError(
                 f"pairing lost integrity at t={t}",
                 dump={
                     "time": t,
-                    "violations": proper_violations,
-                    "x": [str(p) for p in state.x.unwrapped()],
-                    "xbar": [str(p) for p in state.xbar.unwrapped()],
-                    "pairing": dict(state.pairing),
+                    "violations": is_proper(shown),
+                    "x": [str(p) for p in shown.x.unwrapped()],
+                    "xbar": [str(p) for p in shown.xbar.unwrapped()],
+                    "pairing": dict(shown.pairing),
                 },
             )
         rows.append((t, d_x, d_b, state.pair_count, v_gap_abs, 1))
@@ -505,4 +517,18 @@ def run_coupled(
         if final_defects < threshold * initial_defects
         else "defects persist"
     )
-    return CouplingDiagnostics(rows, verdict, initial_defects, final_defects, state)
+    return CouplingDiagnostics(
+        rows, verdict, initial_defects, final_defects, _in_input_units(state, z, scale)
+    )
+
+
+def _in_input_units(state: CoupledState, z: ObstacleField, scale: Optional[int]) -> CoupledState:
+    """A lattice state (positions times scale) as a state on z; None means unscaled."""
+    if scale is None:
+        return state
+
+    def side(s: SimState) -> SimState:
+        reps = [Fraction(r, scale) for r in s.reps]
+        return SimState(reps, list(s.laps), list(s.wait_obstacle), list(s.wait_remaining), s.time, z.domain)
+
+    return CoupledState(side(state.x), side(state.xbar), z, dict(state.pairing), state.time)

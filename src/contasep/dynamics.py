@@ -17,6 +17,7 @@ overshoot a barrier by rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .core import (
     ParticleConfig,
     Ring,
     Scalar,
+    to_lattice,
 )
 
 # candidate kinds, in tie-break priority order
@@ -453,6 +455,9 @@ def run(
     plus any requested times (relative to the start of this run). When no
     observers are attached and the input is float-valued with no waiting
     times, a vectorized path is used; it produces bit-identical positions.
+    Exact input is stepped as integers on its lattice (see to_lattice);
+    snapshots, observer reports and the final state come back in input
+    units as Fractions.
     """
     if steps < 0:
         raise ConfigurationError("step count must be nonnegative")
@@ -463,16 +468,74 @@ def run(
         snapshots, violations = _run_fast(state, z, steps, snapshot_at)
         return TrajectorySummary(steps, snapshots, state, violations)
 
-    snapshots = {0: state.unwrapped()}
-    for t in range(steps):
-        report = _step_scalar(state, z)
-        for obs in observers:
-            try:
-                obs(report)
-            except Exception as exc:
-                raise ObserverError(
-                    f"observer {type(obs).__name__} failed at t={report.time}: {exc}"
-                ) from exc
-        if t + 1 in snapshot_at:
-            snapshots[t + 1] = state.unwrapped()
+    lattice = to_lattice(state.domain, z, state.reps)
+    if lattice is None:
+        # float or mixed input has no lattice; it is stepped as given
+        work, z_work, unscale = state, z, tuple
+    else:
+        scale, domain, z_work, reps = lattice
+        # the countdown lists hold no lengths, so they are stepped in place
+        work = SimState(
+            list(reps), list(state.laps), state.wait_obstacle, state.wait_remaining, state.time, domain
+        )
+        unscale = _Unscale(scale)
+    snapshots = {0: unscale(work.unwrapped())}
+    try:
+        for t in range(steps):
+            report = _step_scalar(work, z_work)
+            if observers and work is not state:
+                report = unscale.report(report)
+            for obs in observers:
+                try:
+                    obs(report)
+                except Exception as exc:
+                    raise ObserverError(
+                        f"observer {type(obs).__name__} failed at t={report.time}: {exc}"
+                    ) from exc
+            if t + 1 in snapshot_at:
+                snapshots[t + 1] = unscale(work.unwrapped())
+    finally:
+        if work is not state:
+            state.reps = list(unscale(work.reps))
+            state.laps = work.laps
+            state.time = work.time
     return TrajectorySummary(steps, snapshots, state, 0)
+
+
+class _Unscale:
+    """Lattice ints back to input units, Fraction(v, scale), remembered per value.
+
+    A run revisits few values (obstacles, speeds, positions on a ring), so
+    observer reports look most of them up instead of building a Fraction.
+    """
+
+    _LIMIT = 1 << 16
+
+    def __init__(self, scale: int):
+        self.scale = scale
+        self.known: dict = {}
+
+    def __call__(self, values) -> tuple:
+        known = self.known
+        if len(known) > self._LIMIT:
+            known.clear()
+        out = []
+        for v in values:
+            f = known.get(v)
+            if f is None:
+                f = known[v] = Fraction(v, self.scale)
+            out.append(f)
+        return tuple(out)
+
+    def report(self, r: StepReport) -> StepReport:
+        return StepReport(
+            r.time,
+            self(r.reps_before),
+            r.laps_before,
+            self(r.reps_after),
+            r.laps_after,
+            self(r.displacements),
+            r.blocked,
+            r.hits,
+            self(r.v_caps),
+        )

@@ -156,6 +156,28 @@ def test_fd_sweep_rejects_empty_sweep(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_fd_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, RING_CFG)
+    out = tmp_path / "fd"
+    code = main([
+        "fd-sweep", "--config", cfg, "--out", str(out), "--threads", threads, *SWEEP_ARGS,
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+def test_simulate_counts_burn_in_violations(tmp_path, monkeypatch):
+    real = dynamics._run_fast
+    monkeypatch.setattr(dynamics, "_run_fast", lambda *args: (real(*args)[0], 1))
+    cfg = write_config(tmp_path, {**RING_CFG, "trajectory": False, "burn_in": 20})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--mode", "fast"]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["invariant_violations"] == 2
+
+
 def test_couple_series_and_verdict(tmp_path):
     payload = {
         "domain": {"kind": "ring", "length": "12"},

@@ -1,0 +1,262 @@
+"""Exact runs on the scaled integer lattice against the public Fraction step.
+
+run and run_coupled step exact input as integers times the lcm D of the input
+denominators. These tests replay the same inputs through the public
+one-step functions on Fractions and require identical states, snapshots,
+observer reports, coupling rows, pairings and error messages.
+"""
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from contasep import (
+    CoupledState,
+    CouplingError,
+    InvariantChecker,
+    Line,
+    ObstacleField,
+    ParticleConfig,
+    Ring,
+    SimState,
+    TrajectoryWriter,
+    apply_pairing,
+    detect_overtakes,
+    format_scalar,
+    is_proper,
+    run,
+    run_coupled,
+    step,
+)
+from contasep.core import INFINITY, to_lattice
+
+F = Fraction
+SPEEDS = (F(1, 2), F(1), F(3, 2))
+
+
+@st.composite
+def fields(draw, domain, width):
+    """Up to four obstacles on quarter points of [0, width), waits 0-2."""
+    slots = draw(st.lists(st.integers(0, 4 * width - 1), min_size=0, max_size=4, unique=True))
+    positions = tuple(sorted(F(s, 4) for s in slots))
+    k = len(positions)
+    waits = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    velocities = tuple(draw(st.lists(st.sampled_from(SPEEDS), min_size=k, max_size=k)))
+    return ObstacleField(positions, waits, velocities, F(3, 2), domain)
+
+
+def particles(domain, width, max_size=6):
+    """Third points, so the lattice mixes denominators 2, 3 and 4."""
+    return st.lists(
+        st.integers(0, 3 * width - 1), min_size=1, max_size=max_size
+    ).map(lambda picks: ParticleConfig.from_iterable((F(p, 3) for p in picks), domain))
+
+
+@st.composite
+def ring_cases(draw, max_size=6):
+    half = draw(st.integers(8, 20))
+    ring = Ring(F(half, 2))
+    width = half // 2
+    return draw(particles(ring, width, max_size)), draw(fields(ring, width))
+
+
+@st.composite
+def line_cases(draw):
+    line = draw(st.sampled_from((Line(0, INFINITY), Line(F(-1, 2), 12))))
+    return draw(particles(line, 8)), draw(fields(line, 10))
+
+
+def fraction_run(x, z, steps):
+    """Oracle: states and reports of repeated public step() calls."""
+    state = SimState.initial(x)
+    states, reports = [state], []
+    for _ in range(steps):
+        state, report = step(state, z)
+        states.append(state)
+        reports.append(report)
+    return states, reports
+
+
+def test_to_lattice_scales_by_the_lcm_of_denominators():
+    ring = Ring(F(15, 2))
+    z = ObstacleField((0, F(5, 4)), (1, 0), (F(1, 2), 1), F(3, 2), ring)
+    scale, domain, zs, xs = to_lattice(ring, z, (F(1, 3), 7))
+    assert scale == 12
+    assert domain == Ring(90)
+    assert (zs.positions, zs.waits, zs.velocities, zs.top_speed) == ((0, 15), (1, 0), (6, 12), 18)
+    assert zs.domain == domain
+    assert xs == (4, 84)
+    assert all(type(v) is int for v in (*zs.positions, *zs.velocities, *xs))
+
+
+def test_to_lattice_keeps_an_infinite_line_end_and_refuses_floats():
+    line = Line(F(-1, 2), INFINITY)
+    z = ObstacleField.empty(line, 1)
+    scale, domain, _, xs = to_lattice(line, z, (0, F(3, 4)))
+    assert (scale, domain, xs) == (4, Line(-2, INFINITY), (0, 3))
+    assert to_lattice(line, z, (0.5,)) is None
+    assert to_lattice(Ring(6.0), ObstacleField.empty(Ring(6.0), 1), (0,)) is None
+
+
+@settings(max_examples=60)
+@given(st.one_of(ring_cases(), line_cases()), st.integers(0, 30), st.data())
+def test_run_matches_fraction_steps(case, steps, data):
+    x, z = case
+    states, _ = fraction_run(x, z, steps)
+    # split the run so the second part starts from written-back countdowns
+    split = data.draw(st.integers(0, steps))
+    state = SimState.initial(x)
+    first = run(state, z, split, snapshot_times=range(split + 1))
+    second = run(state, z, steps - split, snapshot_times=range(steps - split + 1))
+    final = states[-1]
+    assert state.reps == final.reps
+    assert all(type(r) is Fraction for r in state.reps)
+    assert state.laps == final.laps
+    assert state.wait_obstacle == final.wait_obstacle
+    assert state.wait_remaining == final.wait_remaining
+    assert state.time == final.time == steps
+    assert first.snapshots == {t: states[t].unwrapped() for t in range(split + 1)}
+    assert second.snapshots == {t: states[split + t].unwrapped() for t in range(steps - split + 1)}
+
+
+def test_run_resumes_a_countdown_across_calls():
+    # a run split while a particle waits out a 2-step obstacle resumes it
+    ring = Ring(F(17, 2))
+    z = ObstacleField((F(5, 4),), (2,), (F(3, 2),), F(3, 2), ring)
+    x = ParticleConfig.from_iterable((F(1, 3),), ring)
+    state = SimState.initial(x)
+    run(state, z, 2)
+    assert state.wait_remaining == [1] and state.reps == [F(5, 4)]
+    run(state, z, 2)
+    states, _ = fraction_run(x, z, 4)
+    assert state.reps == states[-1].reps == [F(11, 4)]
+
+
+def input_units(report):
+    """A report's rows as the CSV writer renders them, and its raw values."""
+    fields_ = (report.reps_before, report.reps_after, report.displacements, report.v_caps)
+    return tuple(tuple(format_scalar(v) for v in f) for f in fields_), fields_
+
+
+@settings(max_examples=40)
+@given(ring_cases(), st.integers(1, 20))
+def test_observers_see_reports_in_input_units(case, steps):
+    x, z = case
+    _, reports = fraction_run(x, z, steps)
+    seen = []
+    writer, checker = TrajectoryWriter(), InvariantChecker(z)
+    run(SimState.initial(x), z, steps, observers=(seen.append, writer, checker))
+    assert [input_units(r) for r in seen] == [input_units(r) for r in reports]
+    assert [(r.time, r.blocked, r.hits, r.laps_after) for r in seen] == [
+        (r.time, r.blocked, r.hits, r.laps_after) for r in reports
+    ]
+    oracle_writer, oracle_checker = TrajectoryWriter(), InvariantChecker(z)
+    for report in reports:
+        oracle_writer(report)
+        oracle_checker(report)
+    render = lambda rows: [tuple(format_scalar(v) for v in row) for row in rows]
+    assert render(writer.rows) == render(oracle_writer.rows)
+    assert checker.violations == oracle_checker.violations == []
+
+
+def test_invariant_checker_messages_in_input_units():
+    # an out-of-order state: particle 1 snaps back onto particle 2, so the
+    # checker reports a negative displacement and a broken order, with
+    # numbers that must read as input units
+    ring = Ring(8)
+    z = ObstacleField.empty(ring, 1)
+
+    def broken():
+        return SimState([6, F(31, 5), F(1, 2), F(7, 10)], [0] * 4, [-1] * 4, [0] * 4, 0, ring)
+
+    checker = InvariantChecker(z)
+    run(broken(), z, 2, observers=(checker,))
+    oracle = InvariantChecker(z)
+    state = broken()
+    for _ in range(2):
+        state, report = step(state, z)
+        oracle(report)
+    assert checker.violations == oracle.violations
+    assert "t=0 i=1: negative displacement -57/10" in checker.violations
+
+
+def coupled_oracle(x, xbar, z, steps):
+    """Oracle for run_coupled: (rows, final state, violations or None)."""
+    state = CoupledState.initial(x, xbar, z)
+    start_x, start_b = state.x.unwrapped()[0], state.xbar.unwrapped()[0]
+    rows = []
+    for t in range(1, steps + 1):
+        new_x, _ = step(state.x, z)
+        new_b, _ = step(state.xbar, z)
+        moved = CoupledState(new_x, new_b, z, dict(state.pairing), t)
+        state = apply_pairing(moved, detect_overtakes(state, moved))
+        violations = is_proper(state)
+        if violations:
+            return rows, state, violations
+        gap = (state.x.unwrapped()[0] - start_x) - (state.xbar.unwrapped()[0] - start_b)
+        defects = state.x.count - state.pair_count
+        rows.append((t, defects, defects, state.pair_count, abs(gap), 1))
+    return rows, state, None
+
+
+def assert_dump_matches(exc, state, violations):
+    dump = exc.value.dump
+    assert str(exc.value) == f"pairing lost integrity at t={state.time}"
+    assert dump["time"] == state.time
+    assert dump["violations"] == violations
+    assert dump["x"] == [str(p) for p in state.x.unwrapped()]
+    assert dump["xbar"] == [str(p) for p in state.xbar.unwrapped()]
+    assert dump["pairing"] == state.pairing
+
+
+@settings(max_examples=60)
+@given(ring_cases(max_size=5), st.integers(1, 40), st.data())
+def test_run_coupled_matches_fraction_loop(case, steps, data):
+    x, z = case
+    width = int(x.domain.length)
+    picks = data.draw(st.lists(st.integers(0, 3 * width - 1), min_size=x.count, max_size=x.count))
+    xbar = ParticleConfig.from_iterable((F(p, 3) for p in picks), x.domain)
+    rows, state, violations = coupled_oracle(x, xbar, z, steps)
+    if violations:
+        with pytest.raises(CouplingError) as exc:
+            run_coupled(x, xbar, z, steps)
+        assert_dump_matches(exc, state, violations)
+        return
+    diag = run_coupled(x, xbar, z, steps)
+    assert diag.rows == rows
+    assert all(type(row[4]) is Fraction for row in diag.rows)
+    assert diag.final_state.pairing == state.pairing
+    assert diag.final_state.x.unwrapped() == state.x.unwrapped()
+    assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
+    assert diag.final_state.z is z
+
+
+def test_coupling_error_dump_in_input_units():
+    # a wait-2 obstacle splits a pair by more than the local speed at t=6
+    # (the open waited-coupling defect); the lattice here is D=4, so lattice
+    # units would read 4 times larger
+    ring = Ring(10)
+    z = ObstacleField((8, F(17, 2)), (2, 0), (1, 1), 1, ring)
+    x = ParticleConfig.from_iterable((F(7, 2), 6), ring)
+    xbar = ParticleConfig.from_iterable((F(1, 4), F(9, 2)), ring)
+    assert to_lattice(ring, z, x.positions, xbar.positions)[0] == 4
+    _, state, violations = coupled_oracle(x, xbar, z, 80)
+    assert violations is not None
+    with pytest.raises(CouplingError) as exc:
+        run_coupled(x, xbar, z, 80)
+    assert_dump_matches(exc, state, violations)
+    assert exc.value.dump["violations"] == [
+        "pair (1,1): span 3/2 exceeds local speed 1",
+        "pair (1,1): obstacle strictly inside span",
+    ]
+    u_x = [F(p) for p in exc.value.dump["x"]]
+    u_b = [F(p) for p in exc.value.dump["xbar"]]
+    for message in exc.value.dump["violations"]:
+        match = re.match(r"pair \((\d+),(\d+)\): span (\S+) exceeds local speed (\S+)", message)
+        if match:
+            i, j, span, speed = match.groups()
+            ahead = (u_b[int(j)] - u_x[int(i)]) % 10
+            assert F(span) == min(ahead, 10 - ahead)
+            assert F(speed) in z.velocities
