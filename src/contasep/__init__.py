@@ -41,6 +41,7 @@ from .coupling import (
 )
 from .dynamics import (
     InvariantChecker,
+    Replicas,
     SimState,
     StepReport,
     TrajectorySummary,

@@ -38,7 +38,7 @@ from .core import (
     refine_waiting,
 )
 from .coupling import run_coupled
-from .dynamics import SimState, TrajectoryWriter, run
+from .dynamics import Replicas, SimState, TrajectoryWriter, run
 from .scenarios import SCENARIOS, make_obstacles, run_scenario, scale_config
 from .stats import (
     check_extended_bounds,
@@ -71,10 +71,25 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _entry(spec: dict, key: str, where: str):
+    """spec[key], or a ConfigurationError naming the missing where.key."""
+    if key not in spec:
+        raise ConfigurationError(f"config needs {where}.{key}")
+    return spec[key]
+
+
+def _int_entry(spec: dict, key: str, default=None) -> int:
+    value = spec.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _build_domain(spec: dict, mode: str) -> Domain:
     kind = spec.get("kind")
     if kind == "ring":
-        return Ring(parse_scalar(spec["length"], mode))
+        return Ring(parse_scalar(_entry(spec, "length", "domain"), mode))
     if kind == "line":
         start = parse_scalar(spec.get("start", 0), mode)
         end = spec.get("end")
@@ -106,7 +121,7 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
                 top_speed=float(z.top_speed),
             )
         return z
-    positions = [parse_scalar(p, mode) for p in spec["positions"]]
+    positions = [parse_scalar(p, mode) for p in _entry(spec, "positions", "obstacles")]
     count = len(positions)
     waits = spec.get("waits", [0] * count)
     velocities = [parse_scalar(v, mode) for v in spec.get("velocities", [1] * count)]
@@ -116,7 +131,7 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
 
 def _particle_count(spec: dict, domain: Domain, mode: str) -> int:
     if "count" in spec:
-        return int(spec["count"])
+        return _int_entry(spec, "count")
     if "density" not in spec:
         raise ConfigurationError("particle spec needs count or density")
     if not isinstance(domain, Ring):
@@ -187,13 +202,13 @@ def load_config(
     domain = _build_domain(raw["domain"], mode)
     obstacles = _build_obstacles(raw.get("obstacles"), domain, mode, seed_override)
     particles = _build_particles(raw.get("particles"), domain, mode, seed_override)
-    steps = steps_override if steps_override is not None else int(raw.get("steps", 0))
+    steps = steps_override if steps_override is not None else _int_entry(raw, "steps", 0)
     if steps < 0:
         raise ConfigurationError("steps must be nonnegative")
     if burn_in_override is not None:
         burn_in = burn_in_override
     elif "burn_in" in raw:
-        burn_in = int(raw["burn_in"])
+        burn_in = _int_entry(raw, "burn_in")
     else:
         burn_in = steps // 10
     if burn_in < 0:
@@ -325,28 +340,34 @@ def _ring_density(x: ParticleConfig):
     return None
 
 
-def _fd_point(cfg: ExperimentConfig, rho_ext, offset, count: int) -> tuple:
-    """One density point of a sweep over cfg's field: its FD_HEADER row."""
+def _fd_points(cfg: ExperimentConfig, rho_ext, offset, counts) -> list:
+    """Density points of a sweep over cfg's field, stepped as one batch.
+
+    Returns (invariant violations, FD_HEADER row) for each count, in order.
+    """
     z = cfg.obstacles
-    x = ParticleConfig.equispaced(cfg.domain, count, offset)
-    rho_x = _ring_density(x)
-    state = SimState.initial(x)
-    violations = run(state, z, cfg.burn_in).invariant_violations if cfg.burn_in else 0
-    traj = run(state, z, cfg.steps)
-    violations += traj.invariant_violations
-    if violations:
-        raise InvariantViolationError(
-            f"fd-sweep point rho_x={format_scalar(rho_x)}: {violations} invariant violations"
+    rhos, states = [], []
+    for count in counts:
+        x = ParticleConfig.equispaced(cfg.domain, count, offset)
+        rhos.append(_ring_density(x))
+        states.append(SimState.initial(x))
+    batch = Replicas(states)
+    burn_in = [0] * len(states)
+    if cfg.burn_in:
+        burn_in = [traj.invariant_violations for traj in run(batch, z, cfg.burn_in)]
+    points = []
+    for rho_x, violations, traj in zip(rhos, burn_in, run(batch, z, cfg.steps)):
+        row = (
+            rho_x,
+            rho_ext,
+            velocity_estimate(traj).mean,
+            predict_velocity(rho_x, rho_ext, z.top_speed),
+            classify_phase(rho_x, rho_ext, z.top_speed),
+            cfg.steps,
+            cfg.domain.length,
         )
-    return (
-        rho_x,
-        rho_ext,
-        velocity_estimate(traj).mean,
-        predict_velocity(rho_x, rho_ext, z.top_speed),
-        classify_phase(rho_x, rho_ext, z.top_speed),
-        cfg.steps,
-        cfg.domain.length,
-    )
+        points.append((violations + traj.invariant_violations, row))
+    return points
 
 
 FD_HEADER = ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps", "domain_L")
@@ -376,17 +397,28 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
             rho = rho_min + (rho_max - rho_min) * i / (args.points - 1)
         counts.append(max(1, round(rho * length_frac)))
     offset = parse_scalar(cfg.raw.get("particle_offset", 0), cfg.mode)
-    point = partial(_fd_point, cfg, extended_density(z), offset)
+    batch_points = partial(_fd_points, cfg, extended_density(z), offset)
 
+    # Point k goes to batch k mod W, and each batch runs in its own worker.
     # The worker count changes only where the points run, never the rows.
-    workers = args.threads or min(len(counts), os.cpu_count() or 1)
+    workers = min(args.threads or os.cpu_count() or 1, len(counts))
+    batches = [counts[k::workers] for k in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, counts))
+            done = list(pool.map(batch_points, batches))
     else:
-        rows = list(map(point, counts))
+        done = list(map(batch_points, batches))
+    points = [None] * len(counts)
+    for k, results in enumerate(done):
+        points[k::workers] = results
+    for violations, row in points:
+        if violations:
+            raise InvariantViolationError(
+                f"fd-sweep point rho_x={format_scalar(row[0])}: {violations} invariant violations"
+            )
+    rows = [row for _, row in points]
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.out / "fd.csv", FD_HEADER, rows)
     return 0

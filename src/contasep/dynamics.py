@@ -16,9 +16,10 @@ overshoot a barrier by rounding.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,8 +112,12 @@ def _candidate(state: SimState, z: ObstacleField, i: int) -> tuple:
     n = len(reps)
     p = reps[i]
     ring = isinstance(state.domain, Ring)
+    zpos = z.positions
 
-    vcap = z.segment_velocity(p)
+    # obstacles at or behind p: one search gives p's segment (the last
+    # obstacle's on a ring before the first) and the next obstacle ahead
+    k = bisect_right(zpos, p)
+    vcap = z.velocities[k - 1] if k or (ring and zpos) else z.top_speed
     t_spd = p + vcap
     if ring and t_spd >= state.domain.length:
         best_w, best_r = 1, t_spd - state.domain.length
@@ -129,9 +134,12 @@ def _candidate(state: SimState, z: ObstacleField, i: int) -> tuple:
     if gw is not None and (gw < best_w or (gw == best_w and gr <= best_r)):
         best_w, best_r, kind = gw, gr, _GAP
 
-    d_obs, j_obs = z.next_ahead(p)
+    if k < len(zpos):
+        j_obs = k
+    else:
+        j_obs = 0 if ring and zpos else -1
     if j_obs >= 0:
-        zj = z.positions[j_obs]
+        zj = zpos[j_obs]
         ow = 1 if zj <= p else 0
         if ow < best_w or (ow == best_w and zj <= best_r):
             best_w, best_r, kind = ow, zj, _OBSTACLE
@@ -217,9 +225,12 @@ def local_velocity(state: SimState, z: ObstacleField, i: int) -> Scalar:
 
 
 def default_intervals(domain: Domain) -> tuple:
-    """Fixed test intervals for the interval-count invariant."""
+    """Fixed test intervals for the interval-count invariant.
+
+    Bounds are exact unless the domain is given in floats.
+    """
     if isinstance(domain, Ring):
-        length = domain.length
+        length = _exact(domain.length)
         out = []
         for k in range(8):
             a = k * length / 8
@@ -227,12 +238,16 @@ def default_intervals(domain: Domain) -> tuple:
             out.append((a, b if b < length else length))
         return tuple(out)
     if domain.finite:
-        width = domain.end - domain.start
+        start = _exact(domain.start)
+        width = domain.end - start
         return tuple(
-            (domain.start + k * width / 4, domain.start + k * width / 4 + width / 5)
-            for k in range(4)
+            (start + k * width / 4, start + k * width / 4 + width / 5) for k in range(4)
         )
     return ()
+
+
+def _exact(value: Scalar) -> Scalar:
+    return value if isinstance(value, float) else Fraction(value)
 
 
 def _count_in(reps: Sequence, a, b) -> int:
@@ -321,6 +336,20 @@ class TrajectorySummary:
         return self.snapshots[t][i] - self.snapshots[0][i]
 
 
+class Replicas:
+    """Independent states on one field, for run to step as one batch.
+
+    count is the number of particles over all replicas.
+    """
+
+    def __init__(self, states: Iterable[SimState]):
+        self.states = tuple(states)
+
+    @property
+    def count(self) -> int:
+        return sum(s.count for s in self.states)
+
+
 def _fast_eligible(state: SimState, z: ObstacleField) -> bool:
     if state.count == 0:
         return False
@@ -334,139 +363,207 @@ def _fast_eligible(state: SimState, z: ObstacleField) -> bool:
     return True
 
 
-def _run_fast(state: SimState, z: ObstacleField, steps: int, snapshot_at: set) -> tuple:
-    """Vectorized float path for wait-free fields; returns (snapshots, violations).
+def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -> tuple:
+    """Vectorized float kernel for wait-free fields; returns (snapshots, violations).
 
-    Runs the same candidate comparison as the scalar engine, so results are
-    bit-identical to it on eligible inputs. Invariants are checked vectorized
-    every step. One searchsorted per step serves both the segment velocity and
-    the next obstacle; each step's neighbour arrays and interval counts are
-    reused by the next.
+    Every replica shares the first one's domain and the field z; their
+    particles sit in one flat array, replica after replica. The kernel runs
+    the scalar engine's candidate comparison, so each replica's positions are
+    bit-identical to it. snapshots maps a time to the flat array of unwrapped
+    positions; violations holds each replica's invariant count, the same as
+    the replica reports when run alone.
+
+    Each move lands on an obstacle, a neighbour's old position or p + v, and
+    p + v never passes the next obstacle. So each particle's obstacle index
+    is copied from step to step, never searched: an obstacle's is known, a
+    neighbour's is its old one, and p + v keeps its own (0 after a ring
+    wrap). Interval counts come from one bincount over (replica, bin).
     """
-    ring = isinstance(state.domain, Ring)
-    reps = np.array(state.reps, dtype=np.float64)
-    laps = np.array(state.laps, dtype=np.int64)
+    states = batch.states
+    domain = states[0].domain
+    ring = isinstance(domain, Ring)
+    sizes = np.array([s.count for s in states])
+    reps = np.array([r for s in states for r in s.reps], dtype=np.float64)
+    laps = np.array([l for s in states for l in s.laps], dtype=np.int64)
     n = reps.shape[0]
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    # the particle ahead within the replica; a line's last particle has none
+    nxt = np.arange(1, n + 1)
+    nxt[last] = first if ring else last
     m = z.count
     zpos = np.array(z.positions, dtype=np.float64)
     zvel = np.array(z.velocities, dtype=np.float64)
     v_top = float(z.top_speed)
-    length = float(state.domain.length) if ring else None
-    # indexed by searchsorted(zpos, p, "right"): the speed of p's segment and
-    # the next obstacle strictly ahead of p
+    length = float(domain.length) if ring else None
+    # indexed by idx = searchsorted(zpos, p, "right"): the speed of p's
+    # segment, the next obstacle strictly ahead of p, the laps to reach it,
+    # and the idx of a particle that lands on it
+    obs_lap = np.zeros(m + 1, dtype=np.int64)
+    land = np.arange(1, m + 2)
     if ring:
         seg_vel = np.append(zvel[-1:], zvel)
         obs_ahead = np.append(zpos, zpos[:1])
+        obs_lap[m] = 1
+        land[m] = 1
     else:
         seg_vel = np.append(v_top, zvel)
         obs_ahead = np.append(zpos, INFINITY)
-    seg_cap = seg_vel + _FLOAT_TOL
+        land[m] = m
+    # interval counts: each replica's particles in each bin between distinct
+    # edges, summed over the bins that make up each interval
     bounds = np.array(
-        [float(v) for ab in default_intervals(state.domain) for v in ab], dtype=np.float64
+        [float(v) for ab in default_intervals(domain) for v in ab], dtype=np.float64
     )
-    violations = 0
+    edges = np.unique(bounds)
+    bin_ids = np.arange(edges.size + 1)[:, None]
+    in_interval = (
+        (bin_ids > np.searchsorted(edges, bounds[::2]))
+        & (bin_ids <= np.searchsorted(edges, bounds[1::2]))
+    ).astype(np.int64)
+    bin_base = np.repeat(np.arange(len(states)) * (edges.size + 1), sizes)
+    bad = np.zeros(n, dtype=np.int64)
+    bad_intervals = np.zeros(len(states), dtype=np.int64)
     snapshots = {}
 
     def snap(t):
-        u = laps * length + reps if ring else reps
-        snapshots[t] = tuple(float(x) for x in u)
+        snapshots[t] = laps * length + reps if ring else reps
+
+    def tally(mask):
+        if np.count_nonzero(mask):
+            bad[mask] += 1
 
     def interval_counts(r):
-        edges = np.searchsorted(np.sort(r), bounds)
-        return edges[1::2] - edges[::2]
+        key = bin_base + np.searchsorted(edges, r, "right")
+        return np.bincount(key, minlength=len(states) * in_interval.shape[0]).reshape(
+            len(states), -1
+        ) @ in_interval
 
-    def ahead(a):
-        return np.concatenate((a[1:], a[:1]))
-
-    if not m:
+    if m:
+        idx = np.searchsorted(zpos, reps, side="right")
+    else:
         vcap = np.full(n, v_top)
-        vcap_tol = vcap + _FLOAT_TOL
     if ring:
-        w_gap = ahead(laps) - laps
-        w_gap[-1] += 1
-        r_gap = ahead(reps)
+        w_gap = laps[nxt] - laps
+        w_gap[last] += 1
+        r_gap = reps[nxt]
     counts = interval_counts(reps) if bounds.size else None
     if 0 in snapshot_at:
         snap(0)
     for t in range(steps):
         if m:
-            idx = np.searchsorted(zpos, reps, side="right")
             vcap = seg_vel[idx]
-            vcap_tol = seg_cap[idx]
         t_spd = reps + vcap
         if ring:
             wrap = t_spd >= length
             w_best = wrap.astype(np.int64)
             r_best = np.where(wrap, t_spd - length, t_spd)
-            take = np.where(w_gap == w_best, r_gap <= r_best, w_gap < w_best)
-            w_best = np.where(take, w_gap, w_best)
-            r_best = np.where(take, r_gap, r_best)
+            gap = np.where(w_gap == w_best, r_gap <= r_best, w_gap < w_best)
+            w_best = np.where(gap, w_gap, w_best)
+            r_best = np.where(gap, r_gap, r_best)
             if m:
-                w_obs = (idx == m).astype(np.int64)
+                w_obs = obs_lap[idx]
                 r_obs = obs_ahead[idx]
-                take = np.where(w_obs == w_best, r_obs <= r_best, w_obs < w_best)
-                w_best = np.where(take, w_obs, w_best)
-                r_best = np.where(take, r_obs, r_best)
-                barrier_ok = np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs)
-                violations += int(n - np.count_nonzero(barrier_ok))
+                obs = np.where(w_obs == w_best, r_obs <= r_best, w_obs < w_best)
+                w_best = np.where(obs, w_obs, w_best)
+                r_best = np.where(obs, r_obs, r_best)
+                idx = np.where(obs, land[idx], np.where(gap, idx[nxt], np.where(wrap, 0, idx)))
             disp = (w_best * length + r_best) - reps
             new_laps = laps + w_best
-            w_gap = ahead(new_laps) - new_laps
-            r_gap = ahead(r_best)
+            w_gap = new_laps[nxt] - new_laps
+            r_gap = r_best[nxt]
             gap_after = w_gap * length + r_gap - r_best
-            gap_after[-1] += length
-            violations += int(np.count_nonzero(gap_after < -_FLOAT_TOL))
-            w_gap[-1] += 1
+            gap_after[last] += length
+            tally(gap_after < -_FLOAT_TOL)
+            w_gap[last] += 1
         else:
-            r_best = np.minimum(t_spd, np.append(reps[1:], INFINITY))
+            r_gap = reps[nxt]
+            r_gap[last] = INFINITY
+            r_best = np.minimum(t_spd, r_gap)
             if m:
                 r_obs = obs_ahead[idx]
                 r_best = np.minimum(r_best, r_obs)
-                violations += int(np.count_nonzero(r_best > r_obs))
+                idx = np.where(r_best == r_obs, land[idx], np.where(r_best == r_gap, idx[nxt], idx))
             disp = r_best - reps
             new_laps = laps
-            violations += int(np.count_nonzero(r_best[:-1] > r_best[1:] + _FLOAT_TOL))
-        violations += int(np.count_nonzero(disp < -_FLOAT_TOL))
-        violations += int(np.count_nonzero(disp > vcap_tol))
+            tally(r_best > r_best[nxt] + _FLOAT_TOL)
+        # A displacement in [0, cap] rules out the other per-particle faults
+        # too: a target past the next obstacle needs a NaN position.
+        if np.count_nonzero((disp >= -_FLOAT_TOL) & (disp <= vcap)) < n:
+            tally(disp < -_FLOAT_TOL)
+            tally(disp > vcap + _FLOAT_TOL)
+            if ring and m:
+                tally(~np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs))
+            elif m:
+                tally(r_best > r_obs)
         if counts is not None:
             before, counts = counts, interval_counts(r_best)
-            violations += int(np.count_nonzero(np.abs(counts - before) > 1))
+            jumped = np.abs(counts - before) > 1
+            if np.count_nonzero(jumped):
+                bad_intervals += jumped.sum(axis=1)
         reps = r_best
         laps = new_laps
         if t + 1 in snapshot_at:
             snap(t + 1)
 
-    state.reps = [float(x) for x in reps]
-    state.laps = [int(x) for x in laps]
-    state.time += steps
-    return snapshots, violations
+    for s, a, b in zip(states, first, last + 1):
+        s.reps = reps[a:b].tolist()
+        s.laps = laps[a:b].tolist()
+        s.time += steps
+    return snapshots, np.add.reduceat(bad, first) + bad_intervals
+
+
+def _summaries(batch: Replicas, steps: int, snapshots: dict, violations) -> Iterator:
+    """One TrajectorySummary per replica of a _run_fast batch, built as it is reached."""
+    start = 0
+    for state, count in zip(batch.states, violations):
+        stop = start + state.count
+        yield TrajectorySummary(
+            steps, {t: tuple(u[start:stop].tolist()) for t, u in snapshots.items()}, state, int(count)
+        )
+        start = stop
 
 
 def run(
-    state: SimState,
+    state: SimState | Replicas,
     z: ObstacleField,
     steps: int,
     observers: Iterable[Callable] = (),
     snapshot_times: Iterable[int] = (),
-) -> TrajectorySummary:
+) -> TrajectorySummary | Iterator[TrajectorySummary]:
     """Apply the step map repeatedly, mutating state through to the end.
 
     Snapshots of unwrapped positions are always taken at t=0 and t=steps,
     plus any requested times (relative to the start of this run). When no
     observers are attached and the input is float-valued with no waiting
-    times, a vectorized path is used; it produces bit-identical positions.
+    times, the vectorized kernel is used; it produces bit-identical positions.
     Exact input is stepped as integers on its lattice (see to_lattice);
     snapshots, observer reports and the final state come back in input
     units as Fractions.
+
+    A Replicas batch gives an iterator of one TrajectorySummary per replica,
+    in order, each built as it is reached. Without observers, replicas that
+    are all eligible and share one domain step together in one kernel call;
+    otherwise each replica runs alone.
     """
     if steps < 0:
         raise ConfigurationError("step count must be nonnegative")
     observers = tuple(observers)
     snapshot_at = {0, steps} | {int(t) for t in snapshot_times}
 
+    if isinstance(state, Replicas):
+        states = state.states
+        if (
+            states
+            and not observers
+            and all(s.domain == states[0].domain and _fast_eligible(s, z) for s in states)
+        ):
+            return _summaries(state, steps, *_run_fast(state, z, steps, snapshot_at))
+        return iter([run(s, z, steps, observers, snapshot_at) for s in states])
+
     if not observers and _fast_eligible(state, z):
-        snapshots, violations = _run_fast(state, z, steps, snapshot_at)
-        return TrajectorySummary(steps, snapshots, state, violations)
+        batch = Replicas((state,))
+        return next(_summaries(batch, steps, *_run_fast(batch, z, steps, snapshot_at)))
 
     lattice = to_lattice(state.domain, z, state.reps)
     if lattice is None:

@@ -87,7 +87,8 @@ def test_extend_outputs(tmp_path):
 def test_fd_sweep_monotone_and_merged(tmp_path, mode):
     cfg = write_config(tmp_path, RING_CFG)
     written = []
-    for threads in ("1", "2"):
+    # five points: one batch, batches of 3 and 2 points, 2+2+1, one point each
+    for threads in ("1", "2", "3", "7"):
         out = tmp_path / f"fd{threads}"
         code = main([
             "fd-sweep", "--config", cfg, "--out", str(out), "--steps", "300",
@@ -96,7 +97,7 @@ def test_fd_sweep_monotone_and_merged(tmp_path, mode):
         assert code == 0
         assert [f.name for f in out.iterdir()] == ["fd.csv"]
         written.append((out / "fd.csv").read_bytes())
-    assert written[0] == written[1]
+    assert written[1:] == written[:1] * 3
     header, rows = read_csv(out / "fd.csv")
     assert header == ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps", "domain_L")
     assert len(rows) == 5
@@ -119,9 +120,9 @@ def test_fast_mode_generated_field_runs_vectorized(tmp_path, monkeypatch):
     assert dynamics._fast_eligible(SimState.initial(x), loaded.obstacles)
     real, calls = dynamics._run_fast, []
 
-    def spy(*args):
-        calls.append(args[2])
-        return real(*args)
+    def spy(batch, *rest):
+        calls.append((batch.count, rest[1]))
+        return real(batch, *rest)
 
     monkeypatch.setattr(dynamics, "_run_fast", spy)
     code = main([
@@ -129,12 +130,17 @@ def test_fast_mode_generated_field_runs_vectorized(tmp_path, monkeypatch):
         "--mode", "fast", "--threads", "1", "--rho-min", "0.1", "--rho-max", "0.2", "--points", "2",
     ])
     assert code == 0
-    assert calls == [2, 20, 2, 20]
+    # one burn-in call and one measured call for the batch of both points
+    assert calls == [(60 + 120, 2), (60 + 120, 20)]
+
+
+def one_violation_per_replica(real):
+    """A _run_fast that reports one invariant violation for each replica of each call."""
+    return lambda batch, *rest: (real(batch, *rest)[0], [1] * len(batch.states))
 
 
 def test_fd_sweep_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
-    real = dynamics._run_fast
-    monkeypatch.setattr(dynamics, "_run_fast", lambda *args: (real(*args)[0], 1))
+    monkeypatch.setattr(dynamics, "_run_fast", one_violation_per_replica(dynamics._run_fast))
     cfg = write_config(tmp_path, RING_CFG)
     out = tmp_path / "fd"
     code = main([
@@ -169,8 +175,7 @@ def test_fd_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
 
 
 def test_simulate_counts_burn_in_violations(tmp_path, monkeypatch):
-    real = dynamics._run_fast
-    monkeypatch.setattr(dynamics, "_run_fast", lambda *args: (real(*args)[0], 1))
+    monkeypatch.setattr(dynamics, "_run_fast", one_violation_per_replica(dynamics._run_fast))
     cfg = write_config(tmp_path, {**RING_CFG, "trajectory": False, "burn_in": 20})
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--mode", "fast"]) == 0
@@ -262,6 +267,25 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
     cfg = write_config(tmp_path, {**RING_CFG, "domain": {"kind": "torus", "length": "5"}})
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({**RING_CFG, "domain": {"kind": "ring"}}, "domain.length"),
+        ({**RING_CFG, "obstacles": {"velocities": ["1"]}}, "obstacles.positions"),
+        ({**RING_CFG, "steps": "abc"}, "steps"),
+    ],
+    ids=["no-domain-length", "no-obstacle-positions", "steps-not-an-integer"],
+)
+def test_config_errors_exit_one_with_one_line(tmp_path, capsys, payload, key):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
     assert not out.exists()
 
 

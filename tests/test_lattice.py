@@ -31,6 +31,7 @@ from contasep import (
     step,
 )
 from contasep.core import INFINITY, to_lattice
+from contasep.dynamics import default_intervals
 
 F = Fraction
 SPEEDS = (F(1, 2), F(1), F(3, 2))
@@ -180,6 +181,23 @@ def test_invariant_checker_messages_in_input_units():
         oracle(report)
     assert checker.violations == oracle.violations
     assert "t=0 i=1: negative displacement -57/10" in checker.violations
+
+
+def test_int_length_checker_reports_like_a_fraction_length():
+    # interval bounds are exact for an int length, so an int ring reports
+    # the same violations, bounds in messages included, as a Fraction ring
+    def audit(length):
+        ring = Ring(length)
+        z = ObstacleField((0, 4), (0, 0), (1, 1), 1, ring)
+        checker = InvariantChecker(z)
+        run(SimState([1, 4, F(7, 4)], [0] * 3, [-1] * 3, [0] * 3, 0, ring), z, 2, observers=(checker,))
+        return checker.violations
+
+    assert audit(8) == audit(F(8))
+    assert "t=0: interval [2,7/2) count jumped by 2" in audit(8)
+    for domain in (Ring(8), Line(-1, 12)):
+        assert all(type(v) is Fraction for ab in default_intervals(domain) for v in ab)
+    assert all(type(v) is float for ab in default_intervals(Ring(8.0)) for v in ab)
 
 
 def coupled_oracle(x, xbar, z, steps):
