@@ -180,8 +180,8 @@ def _build_particles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
         return ParticleConfig.from_iterable(out, domain)
     if "scaled" in spec:
         sub = spec["scaled"]
-        base = _build_particles(sub["base"], domain, mode, seed)
-        return scale_config(base, Fraction(str(sub["alpha"])))
+        base = _build_particles(_entry(sub, "base", "particles.scaled"), domain, mode, seed)
+        return scale_config(base, parse_scalar(_entry(sub, "alpha", "particles.scaled"), "exact"))
     raise ConfigurationError("particle spec needs positions, equispaced, random, or scaled")
 
 
@@ -403,6 +403,9 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
     # The worker count changes only where the points run, never the rows.
     workers = min(args.threads or os.cpu_count() or 1, len(counts))
     batches = [counts[k::workers] for k in range(workers)]
+    if cfg.mode == "fast":
+        # imported before the pool forks, so its workers share one load of the float kernel's numpy
+        import numpy  # noqa: F401
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -435,7 +438,11 @@ def cmd_couple(cfg: ExperimentConfig, cfg_xbar: Optional[ExperimentConfig]) -> i
         raise ConfigurationError("couple needs --config-xbar or a particles_xbar entry")
     if cfg.steps < 1:
         raise DegenerateInputError("coupled runs need at least one step")
-    threshold = float(cfg.raw.get("defect_threshold", 0.1))
+    threshold = cfg.raw.get("defect_threshold", 0.1)
+    try:
+        threshold = float(threshold)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"defect_threshold must be a number, got {threshold!r}") from None
     cfg.out.mkdir(parents=True, exist_ok=True)
     try:
         diag = run_coupled(x, xbar, z, cfg.steps, threshold=threshold)
@@ -465,7 +472,7 @@ def cmd_zero_range(cfg: ExperimentConfig) -> int:
     spec = cfg.raw.get("zero_range")
     if not spec:
         raise ConfigurationError("zero-range runs need a zero_range entry in the config")
-    occupancy = tuple(int(c) for c in spec["occupancy"])
+    occupancy = tuple(int(c) for c in _entry(spec, "occupancy", "zero_range"))
     ring = bool(spec.get("ring", True))
     spacings = spec.get("spacings")
     if spacings is not None:

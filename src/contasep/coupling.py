@@ -135,7 +135,9 @@ def _side_events(side, mover_prev, mover_next, other_prev, other_next, period):
     return events
 
 
-def detect_overtakes(prev: CoupledState, next_state: CoupledState) -> list:
+def detect_overtakes(
+    prev: CoupledState, next_state: CoupledState, *, unwrapped: Optional[tuple] = None
+) -> list:
     """All passing events between consecutive states, first-process side first.
 
     On a ring a mover may pass a periodic copy of an opposite-process
@@ -144,16 +146,21 @@ def detect_overtakes(prev: CoupledState, next_state: CoupledState) -> list:
     structural facts the pairing rules rely on: per side, no copy is overtaken
     by two movers; a mover overtaken the same step must coincide with its
     overtaker exactly.
+
+    unwrapped, if given, is the unwrapped positions (x before, x after, xbar
+    before, xbar after), which the function otherwise computes.
     """
     if prev.x.count != next_state.x.count or prev.xbar.count != next_state.xbar.count:
         raise ConfigurationError("mismatched states")
     if next_state.time != prev.time + 1:
         raise ConfigurationError(f"states are {next_state.time - prev.time} steps apart, expected 1")
     period = prev.z.domain.length if isinstance(prev.z.domain, Ring) else None
-    x_prev = prev.x.unwrapped()
-    x_next = next_state.x.unwrapped()
-    b_prev = prev.xbar.unwrapped()
-    b_next = next_state.xbar.unwrapped()
+    x_prev, x_next, b_prev, b_next = unwrapped or (
+        prev.x.unwrapped(),
+        next_state.x.unwrapped(),
+        prev.xbar.unwrapped(),
+        next_state.xbar.unwrapped(),
+    )
     ev_x = _side_events("x", x_prev, x_next, b_prev, b_next, period)
     ev_b = _side_events("xbar", b_prev, b_next, x_prev, x_next, period)
 
@@ -184,7 +191,9 @@ def detect_overtakes(prev: CoupledState, next_state: CoupledState) -> list:
     return ev_x + ev_b
 
 
-def apply_pairing(state: CoupledState, events: list) -> CoupledState:
+def apply_pairing(
+    state: CoupledState, events: list, *, unwrapped: Optional[tuple] = None
+) -> CoupledState:
     """Run the pairing rules over the events, in order, against the live pairing.
 
     For a mover that is already paired: if a repair target exists, the mover
@@ -198,11 +207,13 @@ def apply_pairing(state: CoupledState, events: list) -> CoupledState:
     repair target if one exists. Takeovers move defects rightward, never left.
     Last, on each side the pairs of every stack of co-located particles go to
     the particles that leave the stack first.
+
+    unwrapped, if given, is the state's unwrapped positions (x, xbar), which
+    the function otherwise computes.
     """
     fwd = dict(state.pairing)
     inv = {j: i for i, j in fwd.items()}
-    u_x = state.x.unwrapped()
-    u_b = state.xbar.unwrapped()
+    u_x, u_b = unwrapped or (state.x.unwrapped(), state.xbar.unwrapped())
     period = state.z.domain.length if isinstance(state.z.domain, Ring) else None
 
     for ev in events:
@@ -331,21 +342,23 @@ def _arc_defects(defect_reps, lo, width, length):
     )
 
 
-def is_proper(state: CoupledState) -> list:
+def is_proper(state: CoupledState, *, unwrapped: Optional[tuple] = None) -> list:
     """Violations of the pair-integrity conditions; empty list means proper.
 
     A pair is proper when its span (the short way around on a ring) does not
     exceed the segment velocity at its trailing end, and no obstacle and no
     defect of either side lies strictly inside the open span. Additionally no
     two pairs may cross: strictly reversed order on the two sides.
+
+    unwrapped, if given, is the state's unwrapped positions (x, xbar), which
+    the function otherwise computes.
     """
     out = []
     if not state.pairing:
         return out
     z = state.z
     ring = isinstance(z.domain, Ring)
-    u_x = state.x.unwrapped()
-    u_b = state.xbar.unwrapped()
+    u_x, u_b = unwrapped or (state.x.unwrapped(), state.xbar.unwrapped())
     items = sorted(state.pairing.items())
 
     if ring:
@@ -478,26 +491,28 @@ def run_coupled(
         state = CoupledState.initial(ParticleConfig(px, domain), ParticleConfig(pb, domain), z_work)
     n_diff = state.x.count - state.xbar.count
     initial_defects = state.x.count + state.xbar.count
-    start_x = state.x.unwrapped()[0]
-    start_b = state.xbar.unwrapped()[0]
+    # each step's unwrapped positions are built once, and are the next step's "before"
+    u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
+    start_x, start_b = u_x[0], u_b[0]
     rows = []
 
     for t in range(1, steps + 1):
-        prev = state.copy()
+        prev, prev_x, prev_b = state.copy(), u_x, u_b
         _step_scalar(state.x, z_work)
         _step_scalar(state.xbar, z_work)
         state.time = t
-        events = detect_overtakes(prev, state)
-        state = apply_pairing(state, events)
+        u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
+        events = detect_overtakes(prev, state, unwrapped=(prev_x, u_x, prev_b, u_b))
+        state = apply_pairing(state, events, unwrapped=(u_x, u_b))
 
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
         if d_x - d_b != n_diff:
             raise InvariantViolationError(f"defect count difference changed at t={t}")
-        v_gap_abs = abs((state.x.unwrapped()[0] - start_x) - (state.xbar.unwrapped()[0] - start_b))
+        v_gap_abs = abs((u_x[0] - start_x) - (u_b[0] - start_b))
         if scale is not None:
             v_gap_abs = Fraction(v_gap_abs, scale)
-        if t % check_every == 0 and is_proper(state):
+        if t % check_every == 0 and is_proper(state, unwrapped=(u_x, u_b)):
             shown = _in_input_units(state, z, scale)
             raise CouplingError(
                 f"pairing lost integrity at t={t}",

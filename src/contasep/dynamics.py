@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .core import (
     INFINITY,
     ConfigurationError,
@@ -379,6 +377,9 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     neighbour's is its old one, and p + v keeps its own (0 after a ring
     wrap). Interval counts come from one bincount over (replica, bin).
     """
+    # imported here so that exact runs, which never reach this kernel, start without numpy
+    import numpy as np
+
     states = batch.states
     domain = states[0].domain
     ring = isinstance(domain, Ring)

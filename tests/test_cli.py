@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import contasep
 from contasep import dynamics
 from contasep.cli import load_config, main
 from contasep.core import ParticleConfig, format_scalar
@@ -33,6 +38,20 @@ GENERATED_RING_CFG = {
 }
 
 SWEEP_ARGS = ["--rho-min", "0.25", "--rho-max", "1.5", "--points", "5"]
+
+COUPLE_CFG = {**RING_CFG, "particles_xbar": {"equispaced": {"count": 6, "offset": "0.5"}}}
+
+# README's coupled run of acceptance criterion 10
+CRITERION_10_CFG = {
+    "domain": {"kind": "ring", "length": "100"},
+    "obstacles": {
+        "generator": "poisson",
+        "params": {"rate": 0.35, "seed": 13, "quantize": 100, "velocity": "4"},
+    },
+    "particles": {"random": {"count": 50, "seed": 21, "quantize": 100}},
+    "particles_xbar": {"random": {"count": 50, "seed": 22, "quantize": 100}},
+    "steps": 10000,
+}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -271,18 +290,34 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "payload, key",
+    "command, payload, key",
     [
-        ({**RING_CFG, "domain": {"kind": "ring"}}, "domain.length"),
-        ({**RING_CFG, "obstacles": {"velocities": ["1"]}}, "obstacles.positions"),
-        ({**RING_CFG, "steps": "abc"}, "steps"),
+        ("simulate", {**RING_CFG, "domain": {"kind": "ring"}}, "domain.length"),
+        ("simulate", {**RING_CFG, "obstacles": {"velocities": ["1"]}}, "obstacles.positions"),
+        ("simulate", {**RING_CFG, "steps": "abc"}, "steps"),
+        ("simulate", {**RING_CFG, "particles": {"scaled": {"alpha": "2"}}}, "particles.scaled.base"),
+        (
+            "simulate",
+            {**RING_CFG, "particles": {"scaled": {"base": RING_CFG["particles"]}}},
+            "particles.scaled.alpha",
+        ),
+        ("zero-range", {**RING_CFG, "zero_range": {"ring": True}}, "zero_range.occupancy"),
+        ("couple", {**COUPLE_CFG, "defect_threshold": "abc"}, "defect_threshold"),
     ],
-    ids=["no-domain-length", "no-obstacle-positions", "steps-not-an-integer"],
+    ids=[
+        "no-domain-length",
+        "no-obstacle-positions",
+        "steps-not-an-integer",
+        "scaled-without-base",
+        "scaled-without-alpha",
+        "zero-range-without-occupancy",
+        "threshold-not-a-number",
+    ],
 )
-def test_config_errors_exit_one_with_one_line(tmp_path, capsys, payload, key):
+def test_config_errors_exit_one_with_one_line(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
@@ -338,3 +373,74 @@ def test_fast_mode_override(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out), "--mode", "fast"]) == 0
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert abs(float(summary["V_mean"]) - 1.0) < 0.02
+
+
+def run_child(script, *args):
+    """Run a Python script in a fresh interpreter that imports this contasep."""
+    env = {**os.environ, "PYTHONPATH": str(Path(contasep.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+# Runs each argument list (a JSON list) through main with numpy unimportable.
+WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from contasep.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    ring = write_config(tmp_path, RING_CFG, "ring.json")
+    coupled = write_config(tmp_path, CRITERION_10_CFG, "couple.json")
+    commands = {
+        "couple": ["couple", "--config", coupled, "--steps", "20"],
+        "simulate": ["simulate", "--config", ring],
+        "fd": ["fd-sweep", "--config", ring, "--steps", "100", "--threads", "1", *SWEEP_ARGS],
+    }
+    child = [argv + ["--out", str(tmp_path / "child" / name)] for name, argv in commands.items()]
+    result = run_child(WITHOUT_NUMPY, json.dumps(child))
+    assert result.returncode == 0, result.stderr
+    for name, argv in commands.items():
+        assert main(argv + ["--out", str(tmp_path / "here" / name)]) == 0
+        here = sorted((tmp_path / "here" / name).iterdir())
+        assert [f.name for f in here] == sorted(f.name for f in (tmp_path / "child" / name).iterdir())
+        for f in here:
+            assert f.read_bytes() == (tmp_path / "child" / name / f.name).read_bytes()
+
+    imported = run_child("import sys, contasep.cli; print('numpy' in sys.modules)")
+    assert imported.stdout == "False\n", imported.stderr
+
+
+# Runs main with a process pool that records whether numpy was loaded when
+# the pool was created, that is, before its workers forked.
+POOL_SPY = """
+import concurrent.futures, sys
+loaded = []
+
+class Spy(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("numpy" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Spy
+from contasep.cli import main
+code = main(sys.argv[1:])
+print(loaded)
+sys.exit(code)
+"""
+
+
+def test_fast_sweep_loads_numpy_before_its_pool_forks(tmp_path):
+    cfg = write_config(tmp_path, RING_CFG)
+    sweep = ["fd-sweep", "--config", cfg, "--steps", "100", "--mode", "fast", *SWEEP_ARGS]
+    pooled = run_child(POOL_SPY, *sweep, "--threads", "2", "--out", str(tmp_path / "pooled"))
+    assert pooled.returncode == 0, pooled.stderr
+    assert pooled.stdout == "[True]\n"
+    assert main(sweep + ["--threads", "1", "--out", str(tmp_path / "serial")]) == 0
+    assert (tmp_path / "pooled" / "fd.csv").read_bytes() == (tmp_path / "serial" / "fd.csv").read_bytes()
