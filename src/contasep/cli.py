@@ -71,11 +71,18 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _entry(spec: dict, key: str, where: str):
-    """spec[key], or a ConfigurationError naming the missing where.key."""
-    if key not in spec:
+def _entry(spec: dict, key: str, where: str, kind: type = object, default=None):
+    """spec[key], or default when it is absent and one is given; a missing
+    key or a value that is not a kind is a ConfigurationError naming where.key."""
+    if key in spec:
+        value = spec[key]
+    elif default is None:
         raise ConfigurationError(f"config needs {where}.{key}")
-    return spec[key]
+    else:
+        value = default
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{where}.{key} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _int_entry(spec: dict, key: str, default=None) -> int:
@@ -101,10 +108,16 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
     if spec is None:
         return None
     if "generator" in spec:
-        params = dict(spec.get("params", {}))
-        for key in ("spacing", "velocity", "offset"):
+        params = dict(_entry(spec, "params", "obstacles", dict, {}))
+        for key in ("spacing", "velocity", "offset", "rate"):
             if key in params:
-                params[key] = parse_scalar(params[key], mode)
+                try:
+                    # the rate only draws float gaps, so it is read as a float
+                    params[key] = parse_scalar(params[key], "fast" if key == "rate" else mode)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"obstacles.params.{key}: {exc}") from None
+        if params.get("quantize") is not None:
+            params["quantize"] = _int_entry(params, "quantize")
         if spec["generator"] == "poisson":
             if seed is not None:
                 params["seed"] = seed
@@ -121,10 +134,10 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
                 top_speed=float(z.top_speed),
             )
         return z
-    positions = [parse_scalar(p, mode) for p in _entry(spec, "positions", "obstacles")]
+    positions = [parse_scalar(p, mode) for p in _entry(spec, "positions", "obstacles", list)]
     count = len(positions)
-    waits = spec.get("waits", [0] * count)
-    velocities = [parse_scalar(v, mode) for v in spec.get("velocities", [1] * count)]
+    waits = _entry(spec, "waits", "obstacles", list, [0] * count)
+    velocities = [parse_scalar(v, mode) for v in _entry(spec, "velocities", "obstacles", list, [1] * count)]
     top = parse_scalar(spec.get("top_speed", max(velocities, default=1)), mode)
     return ObstacleField(tuple(positions), tuple(waits), tuple(velocities), top, domain)
 
@@ -150,7 +163,7 @@ def _build_particles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
         return None
     if "positions" in spec:
         return ParticleConfig.from_iterable(
-            [parse_scalar(p, mode) for p in spec["positions"]], domain
+            [parse_scalar(p, mode) for p in _entry(spec, "positions", "particles", list)], domain
         )
     if "equispaced" in spec:
         sub = spec["equispaced"]
@@ -166,7 +179,7 @@ def _build_particles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
         if not isinstance(domain, Ring):
             raise ConfigurationError("random particle specs need a ring")
         rng = random.Random(use_seed)
-        quant = sub.get("quantize")
+        quant = _int_entry(sub, "quantize") if sub.get("quantize") is not None else None
         length = domain.length
         out = []
         for _ in range(count):
@@ -306,11 +319,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         return 2
 
     state = SimState.initial(x)
-    violations = run(state, z, cfg.burn_in).invariant_violations if cfg.burn_in else 0
+    counts = [run(state, z, cfg.burn_in).invariant_violations] if cfg.burn_in else []
     writer = TrajectoryWriter() if cfg.raw.get("trajectory", True) else None
     observers = (writer,) if writer else ()
     traj = run(state, z, cfg.steps, observers=observers)
-    violations += traj.invariant_violations
+    counts.append(traj.invariant_violations)
     est = velocity_estimate(traj)
     _write_csv(
         cfg.out / "trajectory.csv",
@@ -326,7 +339,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             "V_predicted": predicted,
             "steps": cfg.steps,
             "burn_in": cfg.burn_in,
-            "invariant_violations": violations,
+            "invariant_violations": _total_violations(counts),
         },
     )
     return 0
@@ -340,10 +353,16 @@ def _ring_density(x: ParticleConfig):
     return None
 
 
+def _total_violations(counts: list) -> Optional[int]:
+    """The sum of the runs' invariant counts, or None if any run went unchecked."""
+    return None if None in counts else sum(counts)
+
+
 def _fd_points(cfg: ExperimentConfig, rho_ext, offset, counts) -> list:
     """Density points of a sweep over cfg's field, stepped as one batch.
 
-    Returns (invariant violations, FD_HEADER row) for each count, in order.
+    Returns (invariant violations, FD_HEADER row) for each count, in order;
+    the violations are None where a run went unchecked.
     """
     z = cfg.obstacles
     rhos, states = [], []
@@ -366,7 +385,7 @@ def _fd_points(cfg: ExperimentConfig, rho_ext, offset, counts) -> list:
             cfg.steps,
             cfg.domain.length,
         )
-        points.append((violations + traj.invariant_violations, row))
+        points.append((_total_violations([violations, traj.invariant_violations]), row))
     return points
 
 
@@ -472,11 +491,15 @@ def cmd_zero_range(cfg: ExperimentConfig) -> int:
     spec = cfg.raw.get("zero_range")
     if not spec:
         raise ConfigurationError("zero-range runs need a zero_range entry in the config")
-    occupancy = tuple(int(c) for c in _entry(spec, "occupancy", "zero_range"))
+    counts = _entry(spec, "occupancy", "zero_range", list)
+    try:
+        occupancy = tuple(int(c) for c in counts)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"zero_range.occupancy must hold integers, got {counts!r}") from None
     ring = bool(spec.get("ring", True))
     spacings = spec.get("spacings")
     if spacings is not None:
-        spacings = tuple(parse_scalar(s, cfg.mode) for s in spacings)
+        spacings = tuple(parse_scalar(s, cfg.mode) for s in _entry(spec, "spacings", "zero_range", list))
     state = ZeroRangeState(occupancy, ring, spacings)
     if cfg.steps < 1:
         raise DegenerateInputError("zero-range runs need at least one step")
@@ -508,8 +531,9 @@ def cmd_zero_range(cfg: ExperimentConfig) -> int:
 
 
 def cmd_scenario(name: str, cfg_raw: dict, out: Path) -> int:
-    params = dict(cfg_raw.get("params", {}))
-    result = run_scenario(name, **params)
+    params = _entry(cfg_raw, "params", "scenario", dict, {})
+    # every scenario parameter is an integer
+    result = run_scenario(name, **{key: _int_entry(params, key) for key in params})
     out.mkdir(parents=True, exist_ok=True)
     if result.rows:
         _write_csv(out / f"scenario_{name}.csv", result.columns, result.rows)

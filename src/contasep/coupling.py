@@ -33,7 +33,7 @@ class CoupledState:
     """Two step-locked processes, the pairing between them, and the clock.
 
     pairing maps first-process particle indices to second-process indices and
-    is a partial bijection; inverse is maintained alongside.
+    is a partial bijection.
     """
 
     x: SimState
@@ -52,10 +52,6 @@ class CoupledState:
         if x.domain != xbar.domain:
             raise ConfigurationError("both processes must share one domain")
         return cls(SimState.initial(x), SimState.initial(xbar), z)
-
-    @property
-    def inverse(self) -> dict:
-        return {j: i for i, j in self.pairing.items()}
 
     @property
     def pair_count(self) -> int:
@@ -109,13 +105,23 @@ def _ext_pos(arr, m, period):
     return arr[j] + k * period
 
 
-def _ext_bisect_right(arr, val, period):
-    """bisect_right against arr extended by all period shifts; index may leave [0, n)."""
+def _ext_bisect(arr, val, period, bisect=bisect_right):
+    """bisect (left or right) against arr extended by all period shifts; index may leave [0, n)."""
     if period is None:
-        return bisect_right(arr, val)
+        return bisect(arr, val)
     # pick the shift that puts val inside one period window starting at arr[0]
     k = (val - arr[0]) // period
-    return int(k) * len(arr) + bisect_right(arr, val - k * period)
+    return int(k) * len(arr) + bisect(arr, val - k * period)
+
+
+def _offset(a, b, period):
+    """b - a on a line; on a ring the signed short way round, a half-period tie forward."""
+    d = b - a
+    if period is not None:
+        d %= period
+        if 2 * d > period:
+            d -= period
+    return d
 
 
 def _side_events(side, mover_prev, mover_next, other_prev, other_next, period):
@@ -124,8 +130,8 @@ def _side_events(side, mover_prev, mover_next, other_prev, other_next, period):
     for i in range(len(mover_prev)):
         if mover_next[i] <= mover_prev[i]:
             continue
-        lo = _ext_bisect_right(other_prev, mover_prev[i], period)
-        hi = _ext_bisect_right(other_next, mover_next[i], period) - 1
+        lo = _ext_bisect(other_prev, mover_prev[i], period)
+        hi = _ext_bisect(other_next, mover_next[i], period) - 1
         if lo <= hi:
             if hi - lo + 1 > n:
                 raise InvariantViolationError(
@@ -318,37 +324,23 @@ def _order_stacked_pairs(mine, theirs, u_mine, u_theirs, period):
         base = u_mine[leader]
 
         def lead(j):
-            offset = u_theirs[j] - base
-            if period is not None:
-                offset %= period
-                if 2 * offset > period:
-                    offset -= period
-            return (-offset, theirs_depths[j])
+            return (-_offset(base, u_theirs[j], period), theirs_depths[j])
 
         for i, j in zip(members, sorted(partners, key=lead)):
             mine[i] = j
             theirs[j] = i
 
 
-def _arc_defects(defect_reps, lo, width, length):
-    """Count defects strictly inside the arc (lo, lo + width) on a ring."""
-    hi = lo + width
-    if hi <= length:
-        return bisect_left(defect_reps, hi) - bisect_right(defect_reps, lo)
-    return (
-        len(defect_reps)
-        - bisect_right(defect_reps, lo)
-        + bisect_left(defect_reps, hi - length)
-    )
-
-
 def is_proper(state: CoupledState, *, unwrapped: Optional[tuple] = None) -> list:
     """Violations of the pair-integrity conditions; empty list means proper.
 
-    A pair is proper when its span (the short way around on a ring) does not
-    exceed the segment velocity at its trailing end, and no obstacle and no
-    defect of either side lies strictly inside the open span. Additionally no
-    two pairs may cross: strictly reversed order on the two sides.
+    One check serves both domains on the covering line: each pair's partner
+    stands at its nearest image (on a ring the short way round, an exact
+    half-period tie forward). A pair is proper when its span does not exceed
+    the segment velocity at its trailing end, and no obstacle and no defect of
+    either side lies strictly inside the open span. Additionally no two pairs
+    may cross: one strictly behind the other on the first side, strictly
+    ahead of it on the second.
 
     unwrapped, if given, is the state's unwrapped positions (x, xbar), which
     the function otherwise computes.
@@ -357,82 +349,49 @@ def is_proper(state: CoupledState, *, unwrapped: Optional[tuple] = None) -> list
     if not state.pairing:
         return out
     z = state.z
-    ring = isinstance(z.domain, Ring)
+    period = z.domain.length if isinstance(z.domain, Ring) else None
+
+    def wrap(u):
+        return u if period is None else u % period
+
     u_x, u_b = unwrapped or (state.x.unwrapped(), state.xbar.unwrapped())
-    items = sorted(state.pairing.items())
-
-    if ring:
-        length = z.domain.length
-        defect_reps = sorted(
-            [u_x[i] % length for i in state.defects_x()]
-            + [u_b[j] % length for j in state.defects_xbar()]
-        )
-        spans = []
-        for i, j in items:
-            a = u_x[i] % length
-            b = u_b[j] % length
-            ahead = (b - a) % length
-            if 2 * ahead <= length:
-                spans.append((i, j, a, ahead))
-            else:
-                spans.append((i, j, b, length - ahead))
-        for i, j, lo, width in spans:
-            vseg = z.segment_velocity(lo)
-            if width > vseg:
-                out.append(f"pair ({i},{j}): span {width} exceeds local speed {vseg}")
-            if width > 0:
-                if z.count:
-                    d_obs, _ = z.next_ahead(lo)
-                    if d_obs < width:
-                        out.append(f"pair ({i},{j}): obstacle strictly inside span")
-                inside = _arc_defects(defect_reps, lo, width, length)
-                if inside > 0:
-                    out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
-
-        by_x = sorted((u_x[i] % length, u_b[j] % length, i, j) for i, j in items)
-        window = 2 * z.top_speed
-        count = len(by_x)
-        for a_idx in range(count):
-            ax, ab, i, j = by_x[a_idx]
-            for step in range(1, count):
-                bx, bb, k, l = by_x[(a_idx + step) % count]
-                dx = (bx - ax) % length
-                if dx > window:
-                    break
-                if dx > 0:
-                    db = (bb - ab) % length
-                    if db != 0 and 2 * db > length:
-                        out.append(f"pairs ({i},{j}) and ({k},{l}) cross")
-        return out
-
-    defect_u = sorted(
-        [u_x[i] for i in state.defects_x()] + [u_b[j] for j in state.defects_xbar()]
+    defects = sorted(
+        [wrap(u_x[i]) for i in state.defects_x()] + [wrap(u_b[j]) for j in state.defects_xbar()]
     )
-    for i, j in items:
-        a, b = u_x[i], u_b[j]
-        lo, hi = (a, b) if a <= b else (b, a)
-        width = hi - lo
-        vseg = z.segment_velocity(lo)
+    pairs = []
+    for i, j in sorted(state.pairing.items()):
+        a = wrap(u_x[i])
+        offset = _offset(a, u_b[j], period)
+        # ties in x are walked by index on a line, by the partner's place in [0, L) on a ring
+        pairs.append((a, 0 if period is None else wrap(u_b[j]), i, j, a + offset))
+        lo, width = (a, offset) if offset >= 0 else (a + offset, -offset)
+        vseg = z.segment_velocity(wrap(lo))
         if width > vseg:
             out.append(f"pair ({i},{j}): span {width} exceeds local speed {vseg}")
         if width > 0:
             if z.count:
-                d_obs, _ = z.next_ahead(lo)
+                d_obs, _ = z.next_ahead(wrap(lo))
                 if d_obs < width:
                     out.append(f"pair ({i},{j}): obstacle strictly inside span")
-            inside = bisect_left(defect_u, hi) - bisect_right(defect_u, lo)
-            if inside > 0:
-                out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
+            if defects:
+                inside = _ext_bisect(defects, lo + width, period, bisect_left) - _ext_bisect(
+                    defects, lo, period
+                )
+                if inside > 0:
+                    out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
 
-    by_x = sorted(items, key=lambda ij: (u_x[ij[0]], ij[0]))
+    # walked in x order; on a ring (x taken in [0, L)) each pair also meets
+    # the pairs one period on, and since a partner is within half a period
+    # of its pair, no crossing reaches further
+    pairs.sort()
+    count = len(pairs)
+    ahead = pairs if period is None else pairs + [(a + period, t, i, j, b + period) for a, t, i, j, b in pairs]
     window = 2 * z.top_speed
-    for a_idx in range(len(by_x)):
-        i, j = by_x[a_idx]
-        for b_idx in range(a_idx + 1, len(by_x)):
-            k, l = by_x[b_idx]
-            if u_x[k] - u_x[i] > window:
+    for p, (a, _, i, j, b) in enumerate(pairs):
+        for c, _, k, l, d in ahead[p + 1 : p + count]:
+            if c - a > window:
                 break
-            if u_x[i] < u_x[k] and u_b[j] > u_b[l]:
+            if a < c and b > d:
                 out.append(f"pairs ({i},{j}) and ({k},{l}) cross")
     return out
 
@@ -462,7 +421,6 @@ def run_coupled(
     z: ObstacleField,
     steps: int,
     threshold: float = 0.1,
-    check_every: int = 1,
 ) -> CouplingDiagnostics:
     """Evolve both processes step-locked with pairing updates and proper checks.
 
@@ -512,7 +470,7 @@ def run_coupled(
         v_gap_abs = abs((u_x[0] - start_x) - (u_b[0] - start_b))
         if scale is not None:
             v_gap_abs = Fraction(v_gap_abs, scale)
-        if t % check_every == 0 and is_proper(state, unwrapped=(u_x, u_b)):
+        if is_proper(state, unwrapped=(u_x, u_b)):
             shown = _in_input_units(state, z, scale)
             raise CouplingError(
                 f"pairing lost integrity at t={t}",

@@ -321,12 +321,15 @@ class TrajectoryWriter:
 
 @dataclass
 class TrajectorySummary:
-    """Result of a run: snapshots of unwrapped positions keyed by time."""
+    """Result of a run: snapshots of unwrapped positions keyed by time.
+
+    invariant_violations is None where the scalar engine ran: it checks nothing.
+    """
 
     steps: int
     snapshots: dict
     final_state: SimState
-    invariant_violations: int = 0
+    invariant_violations: int | None = None
 
     def displacement(self, i: int, t: int) -> Scalar:
         if t not in self.snapshots:
@@ -597,7 +600,7 @@ def run(
             state.reps = list(unscale(work.reps))
             state.laps = work.laps
             state.time = work.time
-    return TrajectorySummary(steps, snapshots, state, 0)
+    return TrajectorySummary(steps, snapshots, state)
 
 
 class _Unscale:

@@ -8,6 +8,7 @@ two identically budgeted particles apart linearly.
 """
 from __future__ import annotations
 
+import inspect
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -144,14 +145,24 @@ def irregular_example(levels: int = 6, factor: int = 4) -> ObstacleField:
     )
 
 
+def _call(func, where: str, *args, **params):
+    """func(*args, **params); parameters func does not take are a ConfigurationError."""
+    try:
+        inspect.signature(func).bind(*args, **params)
+    except TypeError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    return func(*args, **params)
+
+
 def make_obstacles(kind: str, domain, **params) -> ObstacleField:
     """Dispatch obstacle generation by kind: equispaced | poisson | irregular_example."""
+    where = f"obstacle generator {kind!r}"
     if kind == "equispaced":
-        return equispaced_obstacles(domain, **params)
+        return _call(equispaced_obstacles, where, domain, **params)
     if kind == "poisson":
-        return poisson_obstacles(domain, **params)
+        return _call(poisson_obstacles, where, domain, **params)
     if kind == "irregular_example":
-        return irregular_example(**params)
+        return _call(irregular_example, where, **params)
     raise ConfigurationError(f"unknown obstacle kind {kind!r}")
 
 
@@ -334,4 +345,4 @@ def run_scenario(name: str, **params) -> ScenarioResult:
         raise ConfigurationError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    return SCENARIOS[name](**params)
+    return _call(SCENARIOS[name], f"scenario {name!r}", **params)

@@ -77,7 +77,8 @@ def test_simulate_writes_trajectory_and_summary(tmp_path):
     assert set(summary) >= {"V_mean", "V_spread", "phase", "V_predicted"}
     assert summary["phase"] == "gaseous"
     assert summary["V_predicted"] == "1"
-    assert summary["invariant_violations"] == 0
+    # the exact scalar engine checks no invariants, so it reports no count
+    assert summary["invariant_violations"] is None
 
 
 def test_simulate_zero_steps_degenerate(tmp_path):
@@ -292,17 +293,45 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
 @pytest.mark.parametrize(
     "command, payload, key",
     [
-        ("simulate", {**RING_CFG, "domain": {"kind": "ring"}}, "domain.length"),
-        ("simulate", {**RING_CFG, "obstacles": {"velocities": ["1"]}}, "obstacles.positions"),
-        ("simulate", {**RING_CFG, "steps": "abc"}, "steps"),
-        ("simulate", {**RING_CFG, "particles": {"scaled": {"alpha": "2"}}}, "particles.scaled.base"),
+        (["simulate"], {**RING_CFG, "domain": {"kind": "ring"}}, "domain.length"),
+        (["simulate"], {**RING_CFG, "obstacles": {"velocities": ["1"]}}, "obstacles.positions"),
+        (["simulate"], {**RING_CFG, "steps": "abc"}, "steps"),
+        (["simulate"], {**RING_CFG, "particles": {"scaled": {"alpha": "2"}}}, "particles.scaled.base"),
         (
-            "simulate",
+            ["simulate"],
             {**RING_CFG, "particles": {"scaled": {"base": RING_CFG["particles"]}}},
             "particles.scaled.alpha",
         ),
-        ("zero-range", {**RING_CFG, "zero_range": {"ring": True}}, "zero_range.occupancy"),
-        ("couple", {**COUPLE_CFG, "defect_threshold": "abc"}, "defect_threshold"),
+        (["zero-range"], {**RING_CFG, "zero_range": {"ring": True}}, "zero_range.occupancy"),
+        (["couple"], {**COUPLE_CFG, "defect_threshold": "abc"}, "defect_threshold"),
+        (["zero-range"], {**RING_CFG, "zero_range": {"occupancy": [2, "x", 1]}}, "zero_range.occupancy"),
+        (
+            ["extend"],
+            {**GENERATED_RING_CFG, "obstacles": {"generator": "equispaced", "params": {"spacing": "3", "bogus": 1}}},
+            "bogus",
+        ),
+        (
+            ["extend"],
+            {**GENERATED_RING_CFG, "obstacles": {"generator": "poisson", "params": {"rate": "abc", "seed": 1}}},
+            "obstacles.params.rate",
+        ),
+        (
+            ["simulate"],
+            {**RING_CFG, "particles": {"random": {"count": 4, "seed": 1, "quantize": "x"}}},
+            "quantize",
+        ),
+        (["scenario", "half_integer"], {"params": {"steps": "abc"}}, "steps"),
+        (["scenario", "half_integer"], {"params": {"bogus": 1}}, "bogus"),
+        (["simulate"], {**RING_CFG, "obstacles": {"positions": "048"}}, "obstacles.positions"),
+        (["simulate"], {**RING_CFG, "obstacles": {"positions": ["0"], "waits": "0"}}, "obstacles.waits"),
+        (["simulate"], {**RING_CFG, "obstacles": {"positions": ["0"], "velocities": "1"}}, "obstacles.velocities"),
+        (["simulate"], {**RING_CFG, "particles": {"positions": "136"}}, "particles.positions"),
+        (["zero-range"], {**RING_CFG, "zero_range": {"occupancy": "201"}}, "zero_range.occupancy"),
+        (
+            ["zero-range"],
+            {**RING_CFG, "zero_range": {"occupancy": [2, 0, 1], "spacings": "111"}},
+            "zero_range.spacings",
+        ),
     ],
     ids=[
         "no-domain-length",
@@ -312,12 +341,24 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
         "scaled-without-alpha",
         "zero-range-without-occupancy",
         "threshold-not-a-number",
+        "occupancy-not-integers",
+        "generator-unknown-param",
+        "poisson-rate-not-a-number",
+        "quantize-not-an-integer",
+        "scenario-steps-not-an-integer",
+        "scenario-unknown-param",
+        "obstacle-positions-a-string",
+        "waits-a-string",
+        "velocities-a-string",
+        "particle-positions-a-string",
+        "occupancy-a-string",
+        "spacings-a-string",
     ],
 )
 def test_config_errors_exit_one_with_one_line(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
