@@ -25,12 +25,14 @@ from .core import (
     CouplingError,
     DegenerateInputError,
     Domain,
+    INFINITY,
     InvariantViolationError,
     Line,
     ObstacleField,
     ParticleConfig,
     PropertyViolationError,
     Ring,
+    Scalar,
     build_extended,
     extended_density,
     format_scalar,
@@ -43,6 +45,7 @@ from .scenarios import SCENARIOS, make_obstacles, run_scenario, scale_config
 from .stats import (
     check_extended_bounds,
     classify_phase,
+    density,
     predict_velocity,
     velocity_estimate,
 )
@@ -51,16 +54,21 @@ from .zerorange import ZeroRangeState, zr_trajectory, zr_velocity
 
 @dataclass
 class ExperimentConfig:
-    """Fully built experiment inputs; construction validates everything."""
+    """Every config key, read and checked by load_config before any command runs."""
 
     domain: Domain
     mode: str
     obstacles: Optional[ObstacleField]
     particles: Optional[ParticleConfig]
+    particles_xbar: Optional[ParticleConfig]
     steps: int
     burn_in: int
     out: Path
-    raw: dict
+    top_speed: Scalar
+    trajectory: bool
+    particle_offset: Scalar
+    defect_threshold: float
+    zero_range: Optional[ZeroRangeState]
 
 
 def _load_json(path: str) -> dict:
@@ -71,59 +79,81 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _entry(spec: dict, key: str, where: str, kind: type = object, default=None):
-    """spec[key], or default when it is absent and one is given; a missing
-    key or a value that is not a kind is a ConfigurationError naming where.key."""
-    if key in spec:
-        value = spec[key]
-    elif default is None:
-        raise ConfigurationError(f"config needs {where}.{key}")
-    else:
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", bool: "true or false", dict: "an object", list: "a list", str: "a string"}
+
+
+def _read(spec: dict, path: str, kind, default=_REQUIRED):
+    """The entry of spec at path's last key, read as kind. An absent or null
+    entry takes the default, and is an error without one; every error names
+    the full key path.
+
+    kind is int (a whole number, or a string holding one; never a bool), bool,
+    dict, list, str, a scalar mode "exact" or "fast" (see parse_scalar), or
+    [kind] for a list of values of kind.
+    """
+    value = spec.get(path.rpartition(".")[2])
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"config needs {path}")
+        if default is None:
+            return None
         value = default
-    if not isinstance(value, kind):
-        raise ConfigurationError(f"{where}.{key} must be a {kind.__name__}, got {value!r}")
-    return value
+    return _as(value, kind, path)
 
 
-def _int_entry(spec: dict, key: str, default=None) -> int:
-    value = spec.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}") from None
+def _as(value, kind, path: str):
+    if isinstance(kind, list):
+        return [_as(v, kind[0], f"{path}[{i}]") for i, v in enumerate(_as(value, list, path))]
+    if kind in ("exact", "fast"):
+        try:
+            return parse_scalar(value, kind)
+        except ConfigurationError:
+            raise ConfigurationError(f"{path} must be a number, got {value!r}") from None
+    if kind is int:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+    elif isinstance(value, kind):
+        return value
+    raise ConfigurationError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _params(spec: dict, path: str, kinds: dict) -> dict:
+    """The object at path, each entry read as kinds[key], or as an integer
+    when kinds has no key; null entries are dropped. The callee's signature
+    rejects unknown keys."""
+    return {
+        key: _as(value, kinds.get(key, int), f"{path}.{key}")
+        for key, value in _read(spec, path, dict, {}).items()
+        if value is not None
+    }
 
 
 def _build_domain(spec: dict, mode: str) -> Domain:
-    kind = spec.get("kind")
+    kind = _read(spec, "domain.kind", str)
     if kind == "ring":
-        return Ring(parse_scalar(_entry(spec, "length", "domain"), mode))
+        return Ring(_read(spec, "domain.length", mode))
     if kind == "line":
-        start = parse_scalar(spec.get("start", 0), mode)
-        end = spec.get("end")
-        return Line(start, parse_scalar(end, mode) if end is not None else float("inf"))
-    raise ConfigurationError(f"domain kind must be ring or line, got {kind!r}")
+        end = _read(spec, "domain.end", mode, None)
+        return Line(_read(spec, "domain.start", mode, 0), INFINITY if end is None else end)
+    raise ConfigurationError(f"domain.kind must be ring or line, got {kind!r}")
 
 
 def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Optional[ObstacleField]:
     if spec is None:
         return None
     if "generator" in spec:
-        params = dict(_entry(spec, "params", "obstacles", dict, {}))
-        for key in ("spacing", "velocity", "offset", "rate"):
-            if key in params:
-                try:
-                    # the rate only draws float gaps, so it is read as a float
-                    params[key] = parse_scalar(params[key], "fast" if key == "rate" else mode)
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"obstacles.params.{key}: {exc}") from None
-        if params.get("quantize") is not None:
-            params["quantize"] = _int_entry(params, "quantize")
-        if spec["generator"] == "poisson":
-            if seed is not None:
-                params["seed"] = seed
-            if "seed" not in params:
-                raise ConfigurationError("poisson obstacle generator needs a seed")
-        z = make_obstacles(spec["generator"], domain, **params)
+        generator = _read(spec, "obstacles.generator", str)
+        # the rate only draws float gaps, so it is read as a float
+        params = _params(spec, "obstacles.params", {"spacing": mode, "velocity": mode, "offset": mode, "rate": "fast"})
+        if generator == "poisson" and seed is not None:
+            params["seed"] = seed
+        z = make_obstacles(generator, domain, **params)
         if mode == "fast":
             # Generator defaults are ints or Fractions; the vectorized path
             # runs only on an all-float field.
@@ -134,52 +164,47 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
                 top_speed=float(z.top_speed),
             )
         return z
-    positions = [parse_scalar(p, mode) for p in _entry(spec, "positions", "obstacles", list)]
+    positions = _read(spec, "obstacles.positions", [mode])
     count = len(positions)
-    waits = _entry(spec, "waits", "obstacles", list, [0] * count)
-    velocities = [parse_scalar(v, mode) for v in _entry(spec, "velocities", "obstacles", list, [1] * count)]
-    top = parse_scalar(spec.get("top_speed", max(velocities, default=1)), mode)
+    waits = _read(spec, "obstacles.waits", [int], [0] * count)
+    velocities = _read(spec, "obstacles.velocities", [mode], [1] * count)
+    top = _read(spec, "obstacles.top_speed", mode, max(velocities, default=1))
     return ObstacleField(tuple(positions), tuple(waits), tuple(velocities), top, domain)
 
 
-def _particle_count(spec: dict, domain: Domain, mode: str) -> int:
+def _particle_count(spec: dict, where: str, domain: Domain) -> int:
     if "count" in spec:
-        return _int_entry(spec, "count")
+        return _read(spec, f"{where}.count", int)
     if "density" not in spec:
-        raise ConfigurationError("particle spec needs count or density")
+        raise ConfigurationError(f"{where} needs count or density")
     if not isinstance(domain, Ring):
         raise ConfigurationError("density-based particle specs need a ring")
-    rho = parse_scalar(spec["density"], "exact")
-    count = rho * Fraction(str(domain.length)) if isinstance(domain.length, float) else rho * domain.length
-    if isinstance(count, Fraction):
-        if count.denominator != 1:
-            raise ConfigurationError(f"density {spec['density']} gives non-integer count {count}")
-        return int(count)
+    rho = _read(spec, f"{where}.density", "exact")
+    count = rho * Fraction(str(domain.length))
+    if count.denominator != 1:
+        raise ConfigurationError(f"{where}.density {rho} gives non-integer count {count}")
     return int(count)
 
 
-def _build_particles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Optional[ParticleConfig]:
+def _build_particles(spec, where: str, domain: Domain, mode: str, seed: Optional[int]) -> Optional[ParticleConfig]:
     if spec is None:
         return None
     if "positions" in spec:
-        return ParticleConfig.from_iterable(
-            [parse_scalar(p, mode) for p in _entry(spec, "positions", "particles", list)], domain
-        )
+        return ParticleConfig.from_iterable(_read(spec, f"{where}.positions", [mode]), domain)
     if "equispaced" in spec:
-        sub = spec["equispaced"]
-        count = _particle_count(sub, domain, mode)
-        offset = parse_scalar(sub.get("offset", 0), mode)
-        return ParticleConfig.equispaced(domain, count, offset)
+        where += ".equispaced"
+        sub = _read(spec, where, dict)
+        count = _particle_count(sub, where, domain)
+        return ParticleConfig.equispaced(domain, count, _read(sub, f"{where}.offset", mode, 0))
     if "random" in spec:
-        sub = spec["random"]
-        use_seed = seed if seed is not None else sub.get("seed")
-        if use_seed is None:
-            raise ConfigurationError("random particle specs need a seed")
-        count = _particle_count(sub, domain, mode)
+        where += ".random"
+        sub = _read(spec, where, dict)
+        use_seed = seed if seed is not None else _read(sub, f"{where}.seed", int)
+        count = _particle_count(sub, where, domain)
         if not isinstance(domain, Ring):
             raise ConfigurationError("random particle specs need a ring")
         rng = random.Random(use_seed)
-        quant = _int_entry(sub, "quantize") if sub.get("quantize") is not None else None
+        quant = _read(sub, f"{where}.quantize", int, None)
         length = domain.length
         out = []
         for _ in range(count):
@@ -192,10 +217,21 @@ def _build_particles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
             out.append(p)
         return ParticleConfig.from_iterable(out, domain)
     if "scaled" in spec:
-        sub = spec["scaled"]
-        base = _build_particles(_entry(sub, "base", "particles.scaled"), domain, mode, seed)
-        return scale_config(base, parse_scalar(_entry(sub, "alpha", "particles.scaled"), "exact"))
-    raise ConfigurationError("particle spec needs positions, equispaced, random, or scaled")
+        where += ".scaled"
+        sub = _read(spec, where, dict)
+        base = _build_particles(_read(sub, f"{where}.base", dict), f"{where}.base", domain, mode, seed)
+        return scale_config(base, _read(sub, f"{where}.alpha", "exact"))
+    raise ConfigurationError(f"{where} needs positions, equispaced, random, or scaled")
+
+
+def _build_zero_range(spec, mode: str) -> Optional[ZeroRangeState]:
+    if spec is None:
+        return None
+    return ZeroRangeState(
+        _read(spec, "zero_range.occupancy", [int]),
+        _read(spec, "zero_range.ring", bool, True),
+        _read(spec, "zero_range.spacings", [mode], None),
+    )
 
 
 def load_config(
@@ -206,32 +242,45 @@ def load_config(
     out_override: Optional[str] = None,
     seed_override: Optional[int] = None,
 ) -> ExperimentConfig:
+    """Read and check every key of the config at path; nothing else reads it."""
     raw = _load_json(path)
-    mode = mode_override or raw.get("mode", "exact")
+    mode = mode_override or _read(raw, "mode", str, "exact")
     if mode not in ("exact", "fast"):
         raise ConfigurationError(f"mode must be exact or fast, got {mode!r}")
-    if "domain" not in raw:
-        raise ConfigurationError("config needs a domain")
-    domain = _build_domain(raw["domain"], mode)
-    obstacles = _build_obstacles(raw.get("obstacles"), domain, mode, seed_override)
-    particles = _build_particles(raw.get("particles"), domain, mode, seed_override)
-    steps = steps_override if steps_override is not None else _int_entry(raw, "steps", 0)
+    domain = _build_domain(_read(raw, "domain", dict), mode)
+    steps = steps_override if steps_override is not None else _read(raw, "steps", int, 0)
     if steps < 0:
         raise ConfigurationError("steps must be nonnegative")
-    if burn_in_override is not None:
-        burn_in = burn_in_override
-    elif "burn_in" in raw:
-        burn_in = _int_entry(raw, "burn_in")
-    else:
-        burn_in = steps // 10
+    burn_in = burn_in_override if burn_in_override is not None else _read(raw, "burn_in", int, steps // 10)
     if burn_in < 0:
         raise ConfigurationError("burn-in must be nonnegative")
-    out = Path(out_override or raw.get("out", "."))
-    return ExperimentConfig(domain, mode, obstacles, particles, steps, burn_in, out, raw)
+    return ExperimentConfig(
+        domain=domain,
+        mode=mode,
+        obstacles=_build_obstacles(_read(raw, "obstacles", dict, None), domain, mode, seed_override),
+        particles=_build_particles(_read(raw, "particles", dict, None), "particles", domain, mode, seed_override),
+        # --seed reseeds particles and Poisson obstacles, never particles_xbar
+        particles_xbar=_build_particles(_read(raw, "particles_xbar", dict, None), "particles_xbar", domain, mode, None),
+        steps=steps,
+        burn_in=burn_in,
+        out=Path(out_override or _read(raw, "out", str, ".")),
+        top_speed=_read(raw, "top_speed", mode, 1),
+        trajectory=_read(raw, "trajectory", bool, True),
+        particle_offset=_read(raw, "particle_offset", mode, 0),
+        defect_threshold=_read(raw, "defect_threshold", "fast", 0.1),
+        zero_range=_build_zero_range(_read(raw, "zero_range", dict, None), mode),
+    )
+
+
+def _open(path: Path):
+    """path opened for writing, its directory made first, so a run that stops
+    before its first file leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_csv(path: Path, header: tuple, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -253,34 +302,25 @@ def _json_ready(value):
         return [_json_ready(v) for v in value]
     if isinstance(value, Fraction):
         return format_scalar(value)
-    if isinstance(value, float):
-        return value
     return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path) as fh:
         json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _require_field(cfg: ExperimentConfig) -> ObstacleField:
-    if cfg.obstacles is None:
-        raise ConfigurationError("this command needs an obstacle spec in the config")
-    return cfg.obstacles
-
-
-def _require_particles(cfg: ExperimentConfig) -> ParticleConfig:
-    if cfg.particles is None:
-        raise ConfigurationError("this command needs a particle spec in the config")
-    return cfg.particles
+def _require(entry, what: str):
+    if entry is None:
+        raise ConfigurationError(f"this command needs {what} in the config")
+    return entry
 
 
 def cmd_extend(cfg: ExperimentConfig) -> int:
-    z = _require_field(cfg)
+    z = _require(cfg.obstacles, "an obstacle spec")
     ext = build_extended(refine_waiting(z))
     report = check_extended_bounds(z)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         cfg.out / "extended.csv",
         ("position", "kind", "segment_velocity"),
@@ -302,13 +342,12 @@ def cmd_extend(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    x = _require_particles(cfg)
-    z = cfg.obstacles or ObstacleField.empty(cfg.domain, parse_scalar(cfg.raw.get("top_speed", 1), cfg.mode))
+    x = _require(cfg.particles, "a particle spec")
+    z = cfg.obstacles or ObstacleField.empty(cfg.domain, cfg.top_speed)
     rho_x = _ring_density(x)
     rho_ext = extended_density(z) if z.count else None
     predicted = predict_velocity(rho_x, rho_ext, z.top_speed) if rho_x is not None and rho_x > 0 else None
     phase = classify_phase(rho_x, rho_ext, z.top_speed) if predicted is not None else None
-    cfg.out.mkdir(parents=True, exist_ok=True)
 
     if cfg.steps == 0:
         _write_csv(cfg.out / "trajectory.csv", ("t", "particle_index", "position", "displacement", "blocked_flag"), ())
@@ -320,7 +359,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
     state = SimState.initial(x)
     counts = [run(state, z, cfg.burn_in).invariant_violations] if cfg.burn_in else []
-    writer = TrajectoryWriter() if cfg.raw.get("trajectory", True) else None
+    writer = TrajectoryWriter() if cfg.trajectory else None
     observers = (writer,) if writer else ()
     traj = run(state, z, cfg.steps, observers=observers)
     counts.append(traj.invariant_violations)
@@ -346,11 +385,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _ring_density(x: ParticleConfig):
-    if isinstance(x.domain, Ring):
-        from .stats import density
-
-        return density(x)
-    return None
+    return density(x) if isinstance(x.domain, Ring) else None
 
 
 def _total_violations(counts: list) -> Optional[int]:
@@ -393,7 +428,7 @@ FD_HEADER = ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps"
 
 
 def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
-    z = _require_field(cfg)
+    z = _require(cfg.obstacles, "an obstacle spec")
     if not isinstance(cfg.domain, Ring):
         raise ConfigurationError("density sweeps need a ring domain")
     if args.threads is not None and args.threads < 1:
@@ -402,21 +437,19 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
         raise DegenerateInputError("a sweep needs at least one point")
     if cfg.steps < 1:
         raise DegenerateInputError("a sweep needs at least one step")
-    rho_min = Fraction(str(args.rho_min))
-    rho_max = Fraction(str(args.rho_max))
+    rho_min = parse_scalar(args.rho_min)
+    rho_max = parse_scalar(args.rho_max)
     if rho_min <= 0 or rho_max < rho_min:
         raise ConfigurationError("need 0 < rho_min <= rho_max")
-    length = cfg.domain.length
-    length_frac = Fraction(str(length)) if isinstance(length, float) else Fraction(length)
+    length = Fraction(str(cfg.domain.length))
     counts = []
     for i in range(args.points):
         if args.points == 1:
             rho = rho_min
         else:
             rho = rho_min + (rho_max - rho_min) * i / (args.points - 1)
-        counts.append(max(1, round(rho * length_frac)))
-    offset = parse_scalar(cfg.raw.get("particle_offset", 0), cfg.mode)
-    batch_points = partial(_fd_points, cfg, extended_density(z), offset)
+        counts.append(max(1, round(rho * length)))
+    batch_points = partial(_fd_points, cfg, extended_density(z), cfg.particle_offset)
 
     # Point k goes to batch k mod W, and each batch runs in its own worker.
     # The worker count changes only where the points run, never the rows.
@@ -440,31 +473,18 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
             raise InvariantViolationError(
                 f"fd-sweep point rho_x={format_scalar(row[0])}: {violations} invariant violations"
             )
-    rows = [row for _, row in points]
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out / "fd.csv", FD_HEADER, rows)
+    _write_csv(cfg.out / "fd.csv", FD_HEADER, [row for _, row in points])
     return 0
 
 
-def cmd_couple(cfg: ExperimentConfig, cfg_xbar: Optional[ExperimentConfig]) -> int:
-    x = _require_particles(cfg)
-    z = _require_field(cfg)
-    if cfg_xbar is not None:
-        xbar = _require_particles(cfg_xbar)
-    elif "particles_xbar" in cfg.raw:
-        xbar = _build_particles(cfg.raw["particles_xbar"], cfg.domain, cfg.mode, None)
-    else:
-        raise ConfigurationError("couple needs --config-xbar or a particles_xbar entry")
+def cmd_couple(cfg: ExperimentConfig) -> int:
+    x = _require(cfg.particles, "a particle spec")
+    z = _require(cfg.obstacles, "an obstacle spec")
+    xbar = _require(cfg.particles_xbar, "a particles_xbar entry")
     if cfg.steps < 1:
         raise DegenerateInputError("coupled runs need at least one step")
-    threshold = cfg.raw.get("defect_threshold", 0.1)
     try:
-        threshold = float(threshold)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"defect_threshold must be a number, got {threshold!r}") from None
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    try:
-        diag = run_coupled(x, xbar, z, cfg.steps, threshold=threshold)
+        diag = run_coupled(x, xbar, z, cfg.steps, threshold=cfg.defect_threshold)
     except CouplingError as exc:
         _write_json(cfg.out / "couple_summary.json", {"verdict": "integrity violated", "dump": exc.dump})
         raise
@@ -481,29 +501,16 @@ def cmd_couple(cfg: ExperimentConfig, cfg_xbar: Optional[ExperimentConfig]) -> i
             "final_defects": diag.final_defects,
             "final_pairs": diag.final_state.pair_count,
             "steps": cfg.steps,
-            "threshold": threshold,
+            "threshold": cfg.defect_threshold,
         },
     )
     return 0
 
 
 def cmd_zero_range(cfg: ExperimentConfig) -> int:
-    spec = cfg.raw.get("zero_range")
-    if not spec:
-        raise ConfigurationError("zero-range runs need a zero_range entry in the config")
-    counts = _entry(spec, "occupancy", "zero_range", list)
-    try:
-        occupancy = tuple(int(c) for c in counts)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"zero_range.occupancy must hold integers, got {counts!r}") from None
-    ring = bool(spec.get("ring", True))
-    spacings = spec.get("spacings")
-    if spacings is not None:
-        spacings = tuple(parse_scalar(s, cfg.mode) for s in _entry(spec, "spacings", "zero_range", list))
-    state = ZeroRangeState(occupancy, ring, spacings)
+    state = _require(cfg.zero_range, "a zero_range entry")
     if cfg.steps < 1:
         raise DegenerateInputError("zero-range runs need at least one step")
-    cfg.out.mkdir(parents=True, exist_ok=True)
     rows = []
     moves = 0
     final = state
@@ -516,7 +523,7 @@ def cmd_zero_range(cfg: ExperimentConfig) -> int:
     _write_csv(cfg.out / "occupancy.csv", ("t", "site", "count"), rows)
     total = state.total
     measured = Fraction(moves, total * cfg.steps) if total else None
-    rho = Fraction(total, state.sites) if ring else None
+    rho = Fraction(total, state.sites) if state.ring else None
     _write_json(
         cfg.out / "zero_range_summary.json",
         {
@@ -530,11 +537,8 @@ def cmd_zero_range(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_scenario(name: str, cfg_raw: dict, out: Path) -> int:
-    params = _entry(cfg_raw, "params", "scenario", dict, {})
-    # every scenario parameter is an integer
-    result = run_scenario(name, **{key: _int_entry(params, key) for key in params})
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_scenario(name: str, params: dict, out: Path) -> int:
+    result = run_scenario(name, **params)
     if result.rows:
         _write_csv(out / f"scenario_{name}.csv", result.columns, result.rows)
     _write_json(
@@ -571,8 +575,7 @@ def _parse_args(argv):
     fd.add_argument("--rho-min", required=True)
     fd.add_argument("--rho-max", required=True)
     fd.add_argument("--points", type=int, required=True)
-    couple = sub.add_parser("couple", parents=[common])
-    couple.add_argument("--config-xbar", dest="config_xbar")
+    sub.add_parser("couple", parents=[common])
     sub.add_parser("zero-range", parents=[common])
     scen = sub.add_parser("scenario", parents=[common])
     scen.add_argument("name", choices=sorted(SCENARIOS))
@@ -587,8 +590,9 @@ def main(argv=None) -> int:
             return 0 if not exc.code else 1
         if args.command == "scenario":
             raw = _load_json(args.config) if args.config else {}
-            out = Path(args.out or raw.get("out", "."))
-            return cmd_scenario(args.name, raw, out)
+            # every scenario parameter is an integer
+            params = _params(raw, "params", {})
+            return cmd_scenario(args.name, params, Path(args.out or _read(raw, "out", str, ".")))
         if not args.config:
             raise ConfigurationError("--config is required")
         cfg = load_config(
@@ -606,12 +610,7 @@ def main(argv=None) -> int:
         if args.command == "fd-sweep":
             return cmd_fd_sweep(cfg, args)
         if args.command == "couple":
-            cfg_xbar = (
-                load_config(args.config_xbar, mode_override=args.mode)
-                if args.config_xbar
-                else None
-            )
-            return cmd_couple(cfg, cfg_xbar)
+            return cmd_couple(cfg)
         if args.command == "zero-range":
             return cmd_zero_range(cfg)
         raise ConfigurationError(f"unknown command {args.command!r}")
@@ -621,10 +620,7 @@ def main(argv=None) -> int:
     except (PropertyViolationError, CouplingError) as exc:
         print(f"property violated: {exc}", file=sys.stderr)
         return 3
-    except ContasepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ContasepError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,15 +56,13 @@ def parse_scalar(value: Union[str, int, float], mode: Mode = "exact") -> Scalar:
     bare floats are read by their shortest decimal representation, so a
     JSON 0.1 becomes 1/10, not the binary float value.
     """
-    if isinstance(value, bool):
-        raise ConfigurationError(f"expected a number, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigurationError(f"expected a finite number, got {value!r}")
     if mode == "exact":
         try:
             if isinstance(value, int):
                 return Fraction(value)
             if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise ValueError(value)
                 return Fraction(repr(value))
             return Fraction(str(value).strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -75,7 +73,7 @@ def parse_scalar(value: Union[str, int, float], mode: Mode = "exact") -> Scalar:
         if isinstance(value, str):
             return float(Fraction(value.strip()))
         return float(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"cannot parse scalar {value!r}") from exc
 
 
@@ -101,11 +99,11 @@ def _as_tuple(values: Iterable) -> tuple:
     return values if isinstance(values, tuple) else tuple(values)
 
 
-def _ratio(count: int, width: Scalar) -> Scalar:
-    """count / width, staying exact unless width is a float."""
-    if isinstance(width, float):
-        return count / width
-    return Fraction(count) / width
+def _ratio(a: Scalar, b: Scalar) -> Scalar:
+    """a / b, staying exact unless either operand is a float."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    return Fraction(a) / b
 
 
 @dataclass(frozen=True)

@@ -502,6 +502,6 @@ def _in_input_units(state: CoupledState, z: ObstacleField, scale: Optional[int])
 
     def side(s: SimState) -> SimState:
         reps = [Fraction(r, scale) for r in s.reps]
-        return SimState(reps, list(s.laps), list(s.wait_obstacle), list(s.wait_remaining), s.time, z.domain)
+        return SimState(reps, list(s.laps), list(s.wait_remaining), s.time, z.domain)
 
     return CoupledState(side(state.x), side(state.xbar), z, dict(state.pairing), state.time)

@@ -44,13 +44,12 @@ class SimState:
     """Mutable simulation state.
 
     reps are representative positions (in [0, L) on a ring); laps count ring
-    wraps so unwrapped positions are laps[i] * L + reps[i]. wait_obstacle and
-    wait_remaining hold the per-particle waiting countdown (-1 / 0 when idle).
+    wraps so unwrapped positions are laps[i] * L + reps[i]. wait_remaining
+    holds the per-particle waiting countdown (0 when idle).
     """
 
     reps: list
     laps: list
-    wait_obstacle: list
     wait_remaining: list
     time: int
     domain: Domain
@@ -58,7 +57,7 @@ class SimState:
     @classmethod
     def initial(cls, x: ParticleConfig) -> "SimState":
         n = x.count
-        return cls(list(x.positions), [0] * n, [-1] * n, [0] * n, 0, x.domain)
+        return cls(list(x.positions), [0] * n, [0] * n, 0, x.domain)
 
     @property
     def count(self) -> int:
@@ -77,7 +76,6 @@ class SimState:
         return SimState(
             list(self.reps),
             list(self.laps),
-            list(self.wait_obstacle),
             list(self.wait_remaining),
             self.time,
             self.domain,
@@ -170,13 +168,9 @@ def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
             continue
         new_reps[i] = r
         new_laps[i] += w
-        state.wait_obstacle[i] = -1
         if kind == _OBSTACLE:
             hits[i] = j_obs
-            tau = z.waits[j_obs]
-            if tau > 0:
-                state.wait_obstacle[i] = j_obs
-                state.wait_remaining[i] = tau
+            state.wait_remaining[i] = z.waits[j_obs]
 
     state.reps = new_reps
     state.laps = new_laps
@@ -260,11 +254,10 @@ class InvariantChecker:
     branch the engine chose.
     """
 
-    def __init__(self, z: ObstacleField, intervals: tuple | None = None):
+    def __init__(self, z: ObstacleField):
         self.z = z
-        self.intervals = default_intervals(z.domain) if intervals is None else intervals
+        self.intervals = default_intervals(z.domain)
         self.violations: list = []
-        self.steps_seen = 0
 
     def __call__(self, report: StepReport) -> None:
         z = self.z
@@ -297,7 +290,6 @@ class InvariantChecker:
             delta = _count_in(report.reps_after, a, b) - _count_in(report.reps_before, a, b)
             if abs(delta) > 1:
                 self.violations.append(f"t={t}: interval [{a},{b}) count jumped by {delta}")
-        self.steps_seen += 1
 
 
 class TrajectoryWriter:
@@ -576,9 +568,7 @@ def run(
     else:
         scale, domain, z_work, reps = lattice
         # the countdown lists hold no lengths, so they are stepped in place
-        work = SimState(
-            list(reps), list(state.laps), state.wait_obstacle, state.wait_remaining, state.time, domain
-        )
+        work = SimState(list(reps), list(state.laps), state.wait_remaining, state.time, domain)
         unscale = _Unscale(scale)
     snapshots = {0: unscale(work.unwrapped())}
     try:

@@ -7,7 +7,6 @@ particle count by the circumference (ring) or window width (finite line).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
@@ -61,13 +60,7 @@ def velocity(traj: TrajectorySummary, i: int, t: Optional[int] = None) -> Scalar
         t = traj.steps
     if t < 1:
         raise DegenerateInputError("velocity needs at least one elapsed step")
-    return _ratio_like(traj.displacement(i, t), t)
-
-
-def _ratio_like(num, den):
-    if isinstance(num, float):
-        return num / den
-    return Fraction(num) / den
+    return _ratio(traj.displacement(i, t), t)
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ def predict_velocity(
     if not rho_x > 0:
         raise DegenerateInputError(f"particle density must be positive, got {rho_x}")
     chain = _chain_speed(rho_z_ext, top_speed)
-    exclusion = 1 / _as_fraction_or_float(rho_x)
+    exclusion = _ratio(1, rho_x)
     return min(chain, exclusion)
 
 
@@ -126,13 +119,7 @@ def _chain_speed(rho_z_ext, top_speed):
         return top_speed
     if not rho_z_ext > 0:
         raise DegenerateInputError(f"extended density must be positive, got {rho_z_ext}")
-    return 1 / _as_fraction_or_float(rho_z_ext)
-
-
-def _as_fraction_or_float(value):
-    if isinstance(value, float):
-        return value
-    return Fraction(value)
+    return _ratio(1, rho_z_ext)
 
 
 def classify_phase(
@@ -149,7 +136,7 @@ def classify_phase(
     if rho_z_ext is None:
         if top_speed is None:
             raise ConfigurationError("no obstacles: top_speed required for classification")
-        return "gaseous" if rho_x * _as_fraction_or_float(top_speed) <= 1 else "liquid"
+        return "gaseous" if rho_x * top_speed <= 1 else "liquid"
     return "gaseous" if rho_x <= rho_z_ext else "liquid"
 
 
@@ -194,8 +181,8 @@ def check_extended_bounds(z: ObstacleField) -> ExtendedBoundsReport:
     rho_ext = extended_density(z)
     v_top = z.top_speed
     v_min = min(z.velocities)
-    lower = max(1 / _as_fraction_or_float(v_top), rho_refined)
-    upper = rho_refined + 1 / _as_fraction_or_float(v_min)
+    lower = max(_ratio(1, v_top), rho_refined)
+    upper = rho_refined + _ratio(1, v_min)
     return ExtendedBoundsReport(
         rho_real,
         rho_refined,

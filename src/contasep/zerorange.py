@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     ParticleConfig,
     Ring,
     Scalar,
+    _ratio,
 )
 from .dynamics import SimState, _step_scalar
 
@@ -62,9 +62,7 @@ class ZeroRangeState:
         width = sum(self.spacings)
         if not width > 0:
             raise DegenerateInputError("lattice has zero total width")
-        if isinstance(width, float):
-            return self.sites / width
-        return Fraction(self.sites) / width
+        return _ratio(self.sites, width)
 
 
 def zr_step(s: ZeroRangeState) -> ZeroRangeState:
@@ -146,8 +144,7 @@ def zr_velocity(rho_y: Scalar) -> Scalar:
     """Mean particle speed on the unit lattice: min(1, 1/density)."""
     if not rho_y > 0:
         raise DegenerateInputError(f"occupancy density must be positive, got {rho_y}")
-    inv = rho_y if isinstance(rho_y, float) else Fraction(rho_y)
-    return min(1, 1 / inv)
+    return min(1, _ratio(1, rho_y))
 
 
 def hetero_velocity(rho_y: Scalar, rho_lattice: Scalar) -> Scalar:

@@ -1,12 +1,17 @@
+import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import contasep
 from contasep import dynamics
@@ -194,6 +199,17 @@ def test_fd_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
     assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
 
 
+def test_fd_sweep_rejects_a_density_that_is_not_a_number(tmp_path, capsys):
+    cfg = write_config(tmp_path, RING_CFG)
+    out = tmp_path / "fd"
+    code = main([
+        "fd-sweep", "--config", cfg, "--out", str(out), "--rho-min", "abc", "--rho-max", "1", "--points", "2",
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: cannot parse scalar 'abc'\n"
+
+
 def test_simulate_counts_burn_in_violations(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_run_fast", one_violation_per_replica(dynamics._run_fast))
     cfg = write_config(tmp_path, {**RING_CFG, "trajectory": False, "burn_in": 20})
@@ -332,6 +348,27 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
             {**RING_CFG, "zero_range": {"occupancy": [2, 0, 1], "spacings": "111"}},
             "zero_range.spacings",
         ),
+        (["simulate"], {**RING_CFG, "domain": "ring"}, "domain"),
+        (["simulate"], {**RING_CFG, "particles": {"equispaced": 5}}, "particles.equispaced"),
+        (["couple"], {**RING_CFG, "particles_xbar": 3}, "particles_xbar"),
+        (["simulate"], {**RING_CFG, "out": 5}, "out"),
+        (["simulate"], {**RING_CFG, "steps": 2.7}, "steps"),
+        (["simulate"], {**RING_CFG, "steps": True}, "steps"),
+        (["simulate"], {**RING_CFG, "burn_in": 1.5}, "burn_in"),
+        (
+            ["simulate"],
+            {**RING_CFG, "particles": {"equispaced": {"count": 2.5}}},
+            "particles.equispaced.count",
+        ),
+        (["simulate"], {**RING_CFG, "trajectory": "false"}, "trajectory"),
+        (["zero-range"], {**RING_CFG, "zero_range": {"occupancy": [2, 0, 1], "ring": "false"}}, "zero_range.ring"),
+        (["couple"], {**COUPLE_CFG, "defect_threshold": True}, "defect_threshold"),
+        (["scenario", "half_integer"], {"params": {"steps": 2.5}}, "params.steps"),
+        (
+            ["simulate", "--mode", "fast"],
+            {**RING_CFG, "particles": {"equispaced": {"count": 3, "offset": float("inf")}}},
+            "particles.equispaced.offset",
+        ),
     ],
     ids=[
         "no-domain-length",
@@ -353,16 +390,101 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
         "particle-positions-a-string",
         "occupancy-a-string",
         "spacings-a-string",
+        "domain-a-string",
+        "equispaced-a-number",
+        "particles-xbar-a-number",
+        "out-a-number",
+        "steps-a-fraction",
+        "steps-a-boolean",
+        "burn-in-a-fraction",
+        "count-a-fraction",
+        "trajectory-a-string",
+        "zero-range-ring-a-string",
+        "threshold-a-boolean",
+        "scenario-steps-a-fraction",
+        "fast-offset-not-finite",
     ],
 )
 def test_config_errors_exit_one_with_one_line(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+    # a config's own out entry is read only when --out is not given
+    where = [] if "out" in payload else ["--out", str(out)]
+    assert main([*command, "--config", cfg, *where]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert not out.exists()
+
+
+# The base of the config fuzz test: the top-level keys the loader reads, at
+# most 8 particles a side and at most 5 steps. Every draw changes or deletes
+# one to three entries of it.
+FUZZ_CFG = {
+    **COUPLE_CFG,
+    "mode": "exact",
+    "steps": 5,
+    "burn_in": 1,
+    "top_speed": "1",
+    "trajectory": True,
+    "particle_offset": "0.25",
+    "defect_threshold": "0.1",
+    "zero_range": {"occupancy": [2, 0, 1], "ring": True, "spacings": ["1", "1/2", "1"]},
+}
+FUZZ_OBSTACLES = [
+    FUZZ_CFG["obstacles"],
+    {"generator": "equispaced", "params": {"spacing": "4", "velocity": "1", "wait": 1}},
+    {"generator": "poisson", "params": {"rate": 0.5, "seed": 3, "quantize": 4}},
+]
+FUZZ_VALUES = [None, True, False, 0, 1, 3, -1, 2.5, "2", "1/2", "x", "fast", "line", [], [1, 2], {}, {"count": 2}]
+FUZZ_COMMANDS = [
+    ["simulate"],
+    ["extend"],
+    ["couple"],
+    ["zero-range"],
+    ["fd-sweep", "--threads", "1", "--rho-min", "0.25", "--rho-max", "0.5", "--points", "2"],
+]
+
+
+def key_paths(node, prefix=()):
+    """Every key path below node: dict keys and list indices."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_fuzzed_configs_exit_cleanly(data):
+    payload = copy.deepcopy({**FUZZ_CFG, "obstacles": data.draw(st.sampled_from(FUZZ_OBSTACLES))})
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from(sorted(key_paths(payload), key=repr)))
+        node = payload
+        for key in parents:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), payload)
+        out = Path(tmp) / "out"
+        code = main([*command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert not out.exists()
+
+
+def test_readme_configs_load_through_the_loader(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 3
+    for k, block in enumerate(blocks):
+        load_config(write_config(tmp_path, json.loads(block), f"readme{k}.json"))
 
 
 def test_couple_without_second_side_is_config_error(tmp_path):

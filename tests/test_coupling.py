@@ -242,7 +242,7 @@ def test_proper_reads_partner_order_on_the_covering_line():
 
     def side(unwrapped):
         return SimState(
-            [u % 6 for u in unwrapped], [int(u // 6) for u in unwrapped], [-1] * 4, [0] * 4, 0, ring
+            [u % 6 for u in unwrapped], [int(u // 6) for u in unwrapped], [0] * 4, 0, ring
         )
 
     state = CoupledState(
@@ -266,7 +266,6 @@ def test_stacked_pairs_leave_their_stacks_in_order():
         return SimState(
             [u % 10 for u in unwrapped],
             [int(u // 10) for u in unwrapped],
-            [-1] * len(unwrapped),
             list(waits),
             8,
             ring,

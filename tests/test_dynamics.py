@@ -212,7 +212,7 @@ def test_fast_path_counts_violations_like_the_checker():
     z = ObstacleField.empty(ring, 1.0)
 
     def broken():
-        return SimState([6.0, 6.2, 0.5, 0.7], [0] * 4, [-1] * 4, [0] * 4, 0, ring)
+        return SimState([6.0, 6.2, 0.5, 0.7], [0] * 4, [0] * 4, 0, ring)
 
     fast = run(broken(), z, 1)
     checker = InvariantChecker(z)

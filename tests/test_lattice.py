@@ -115,7 +115,6 @@ def test_run_matches_fraction_steps(case, steps, data):
     assert state.reps == final.reps
     assert all(type(r) is Fraction for r in state.reps)
     assert state.laps == final.laps
-    assert state.wait_obstacle == final.wait_obstacle
     assert state.wait_remaining == final.wait_remaining
     assert state.time == final.time == steps
     assert first.snapshots == {t: states[t].unwrapped() for t in range(split + 1)}
@@ -170,7 +169,7 @@ def test_invariant_checker_messages_in_input_units():
     z = ObstacleField.empty(ring, 1)
 
     def broken():
-        return SimState([6, F(31, 5), F(1, 2), F(7, 10)], [0] * 4, [-1] * 4, [0] * 4, 0, ring)
+        return SimState([6, F(31, 5), F(1, 2), F(7, 10)], [0] * 4, [0] * 4, 0, ring)
 
     checker = InvariantChecker(z)
     run(broken(), z, 2, observers=(checker,))
@@ -190,7 +189,7 @@ def test_int_length_checker_reports_like_a_fraction_length():
         ring = Ring(length)
         z = ObstacleField((0, 4), (0, 0), (1, 1), 1, ring)
         checker = InvariantChecker(z)
-        run(SimState([1, 4, F(7, 4)], [0] * 3, [-1] * 3, [0] * 3, 0, ring), z, 2, observers=(checker,))
+        run(SimState([1, 4, F(7, 4)], [0] * 3, [0] * 3, 0, ring), z, 2, observers=(checker,))
         return checker.violations
 
     assert audit(8) == audit(F(8))

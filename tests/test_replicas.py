@@ -71,8 +71,7 @@ def as_float(z):
 
 
 def new_state(reps, laps, domain):
-    n = len(reps)
-    return SimState(list(reps), list(laps), [-1] * n, [0] * n, 0, domain)
+    return SimState(list(reps), list(laps), [0] * len(reps), 0, domain)
 
 
 @settings(max_examples=80)
