@@ -154,6 +154,11 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
         if generator == "poisson" and seed is not None:
             params["seed"] = seed
         z = make_obstacles(generator, domain, **params)
+        if z.domain != domain:
+            raise ConfigurationError(
+                f"obstacles.generator {generator!r} builds its field on {_describe(z.domain)},"
+                f" not on the config's {_describe(domain)}"
+            )
         if mode == "fast":
             # Generator defaults are ints or Fractions; the vectorized path
             # runs only on an all-float field.
@@ -170,6 +175,12 @@ def _build_obstacles(spec, domain: Domain, mode: str, seed: Optional[int]) -> Op
     velocities = _read(spec, "obstacles.velocities", [mode], [1] * count)
     top = _read(spec, "obstacles.top_speed", mode, max(velocities, default=1))
     return ObstacleField(tuple(positions), tuple(waits), tuple(velocities), top, domain)
+
+
+def _describe(domain: Domain) -> str:
+    if isinstance(domain, Ring):
+        return f"ring of length {format_scalar(domain.length)}"
+    return f"line [{format_scalar(domain.start)}, {format_scalar(domain.end)})"
 
 
 def _particle_count(spec: dict, where: str, domain: Domain) -> int:
@@ -554,31 +565,38 @@ def cmd_scenario(name: str, params: dict, out: Path) -> int:
     return 0 if result.passed else 3
 
 
-def _parse_args(argv):
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON experiment config")
-    common.add_argument("--steps", type=int)
-    common.add_argument("--burn-in", type=int, dest="burn_in")
-    common.add_argument("--out")
-    common.add_argument("--mode", choices=("exact", "fast"))
-    common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
+_OPTIONS = {"--steps": {"type": int}, "--burn-in": {"type": int}, "--mode": {"choices": ("exact", "fast")},
+            "--seed": {"type": int}, "--threads": {"type": int}}
+# The options each command reads besides --config and --out; it takes no other.
+_COMMAND_OPTIONS = {
+    "extend": ("--mode", "--seed"),
+    "simulate": ("--steps", "--burn-in", "--mode", "--seed"),
+    "fd-sweep": ("--steps", "--burn-in", "--mode", "--seed", "--threads"),
+    "couple": ("--steps", "--seed"),
+    "zero-range": ("--steps",),
+    "scenario": (),
+}
 
+
+def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="contasep",
         description="Deterministic continuum exclusion dynamics with obstacles",
     )
+    # an option its command does not take reads as None
+    parser.set_defaults(steps=None, burn_in=None, mode=None, seed=None, threads=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("extend", parents=[common])
-    sub.add_parser("simulate", parents=[common])
-    fd = sub.add_parser("fd-sweep", parents=[common])
-    fd.add_argument("--rho-min", required=True)
-    fd.add_argument("--rho-max", required=True)
-    fd.add_argument("--points", type=int, required=True)
-    sub.add_parser("couple", parents=[common])
-    sub.add_parser("zero-range", parents=[common])
-    scen = sub.add_parser("scenario", parents=[common])
-    scen.add_argument("name", choices=sorted(SCENARIOS))
+    commands = {}
+    for command, options in _COMMAND_OPTIONS.items():
+        cmd = commands[command] = sub.add_parser(command)
+        cmd.add_argument("--config", help="JSON experiment config")
+        cmd.add_argument("--out")
+        for option in options:
+            cmd.add_argument(option, **_OPTIONS[option])
+    commands["fd-sweep"].add_argument("--rho-min", required=True)
+    commands["fd-sweep"].add_argument("--rho-max", required=True)
+    commands["fd-sweep"].add_argument("--points", type=int, required=True)
+    commands["scenario"].add_argument("name", choices=sorted(SCENARIOS))
     return parser.parse_args(argv)
 
 
@@ -603,17 +621,10 @@ def main(argv=None) -> int:
             out_override=args.out,
             seed_override=args.seed,
         )
-        if args.command == "extend":
-            return cmd_extend(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
         if args.command == "fd-sweep":
             return cmd_fd_sweep(cfg, args)
-        if args.command == "couple":
-            return cmd_couple(cfg)
-        if args.command == "zero-range":
-            return cmd_zero_range(cfg)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        commands = {"extend": cmd_extend, "simulate": cmd_simulate, "couple": cmd_couple, "zero-range": cmd_zero_range}
+        return commands[args.command](cfg)
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence, Union
 
@@ -15,6 +15,9 @@ Scalar = Union[int, Fraction, float]
 Mode = Literal["exact", "fast"]
 
 INFINITY = math.inf
+
+# slack for float comparisons, which exact values never get
+_FLOAT_TOL = 1e-9
 
 
 class ContasepError(Exception):
@@ -99,6 +102,11 @@ def _as_tuple(values: Iterable) -> tuple:
     return values if isinstance(values, tuple) else tuple(values)
 
 
+def _tolerance(values: Iterable) -> float:
+    """_FLOAT_TOL if any value is a float, else 0: exact values compare strictly."""
+    return _FLOAT_TOL if any(isinstance(v, float) for v in values) else 0
+
+
 def _ratio(a: Scalar, b: Scalar) -> Scalar:
     """a / b, staying exact unless either operand is a float."""
     if isinstance(a, float) or isinstance(b, float):
@@ -116,10 +124,6 @@ class Ring:
         if not self.length > 0:
             raise ConfigurationError(f"ring length must be positive, got {self.length!r}")
 
-    @property
-    def kind(self) -> str:
-        return "ring"
-
     def wrap(self, p: Scalar) -> Scalar:
         return p % self.length
 
@@ -134,10 +138,6 @@ class Line:
     def __post_init__(self):
         if not self.end > self.start:
             raise ConfigurationError(f"line window [{self.start}, {self.end}) is empty")
-
-    @property
-    def kind(self) -> str:
-        return "line"
 
     @property
     def finite(self) -> bool:
@@ -330,22 +330,19 @@ def modified_gap(x: ParticleConfig, z: ObstacleField, i: int) -> Scalar:
 class RefinedObstacleField:
     """Waiting times realized as co-located zero-wait obstacle copies.
 
-    origin[k] is the index of the source obstacle for copy k. Segment
-    velocities for the zero-length segments between copies are the unit
-    fillers; they never govern any movement.
+    Segment velocities for the zero-length segments between copies are the
+    unit fillers; they never govern any movement.
     """
 
     positions: tuple
     velocities: tuple
-    origin: tuple
     top_speed: Scalar
     domain: Domain
 
     def __post_init__(self):
         object.__setattr__(self, "positions", _as_tuple(self.positions))
         object.__setattr__(self, "velocities", _as_tuple(self.velocities))
-        object.__setattr__(self, "origin", _as_tuple(self.origin))
-        if not (len(self.positions) == len(self.velocities) == len(self.origin)):
+        if len(self.positions) != len(self.velocities):
             raise ConfigurationError("refined field arrays must have equal length")
         for i in range(1, len(self.positions)):
             if self.positions[i] < self.positions[i - 1]:
@@ -363,19 +360,14 @@ def refine_waiting(z: ObstacleField) -> RefinedObstacleField:
     """Replace obstacle j by waits[j] + 1 co-located zero-wait copies."""
     positions: list = []
     velocities: list = []
-    origin: list = []
     for j in range(z.count):
         one = unit_like(z.velocities[j])
         for _ in range(z.waits[j]):
             positions.append(z.positions[j])
             velocities.append(one)
-            origin.append(j)
         positions.append(z.positions[j])
         velocities.append(z.velocities[j])
-        origin.append(j)
-    return RefinedObstacleField(
-        tuple(positions), tuple(velocities), tuple(origin), z.top_speed, z.domain
-    )
+    return RefinedObstacleField(tuple(positions), tuple(velocities), z.top_speed, z.domain)
 
 
 @dataclass(frozen=True)
@@ -386,7 +378,6 @@ class ExtendedObstacleField:
     real: tuple
     segment_velocities: tuple
     domain: Domain
-    source: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "positions", _as_tuple(self.positions))
@@ -395,13 +386,14 @@ class ExtendedObstacleField:
         pos, vels = self.positions, self.segment_velocities
         if not (len(pos) == len(self.real) == len(vels)):
             raise ConfigurationError("extended field arrays must have equal length")
+        tol = _tolerance(pos + vels)
         for k in range(1, len(pos)):
             d = pos[k] - pos[k - 1]
-            if d < 0 or d > vels[k - 1]:
+            if d < 0 or d > vels[k - 1] + tol:
                 raise ConfigurationError(f"extended spacing violated at index {k}")
         if isinstance(self.domain, Ring) and pos:
             d = pos[0] + self.domain.length - pos[-1]
-            if d < 0 or d > vels[-1]:
+            if d < 0 or d > vels[-1] + tol:
                 raise ConfigurationError("extended spacing violated at the ring wrap")
 
     @property
@@ -430,14 +422,17 @@ def build_extended(z) -> ExtendedObstacleField:
 
     Accepts a plain or refined field. A candidate landing exactly on the next
     obstacle is dropped, so a gap s contributes ceil(s / v_j) points counting
-    its left endpoint. On a ring the last gap wraps; on a line the last
-    obstacle extends to the window end (exclusive), which must be finite.
+    its left endpoint; on a float field, so is one within _FLOAT_TOL of it,
+    where rounding in z_j + m*v_j would otherwise add a point. On a ring the
+    last gap wraps; on a line the last obstacle extends to the window end
+    (exclusive), which must be finite.
     """
     pos = z.positions
     vels = z.velocities
     m = len(pos)
     if m == 0:
-        return ExtendedObstacleField((), (), (), z.domain, source=z)
+        return ExtendedObstacleField((), (), (), z.domain)
+    tol = _tolerance(pos + vels)
     out_pos: list = []
     out_real: list = []
     out_vel: list = []
@@ -453,12 +448,12 @@ def build_extended(z) -> ExtendedObstacleField:
         out_real.append(True)
         out_vel.append(va)
         k = 1
-        while za + k * va < nxt:
+        while za + k * va < nxt - tol:
             out_pos.append(za + k * va)
             out_real.append(False)
             out_vel.append(va)
             k += 1
-    return ExtendedObstacleField(tuple(out_pos), tuple(out_real), tuple(out_vel), z.domain, source=z)
+    return ExtendedObstacleField(tuple(out_pos), tuple(out_real), tuple(out_vel), z.domain)
 
 
 def extended_density(z: ObstacleField):

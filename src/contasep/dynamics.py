@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
+    _FLOAT_TOL,
     INFINITY,
     ConfigurationError,
     Domain,
@@ -30,13 +31,12 @@ from .core import (
     ParticleConfig,
     Ring,
     Scalar,
+    _tolerance,
     to_lattice,
 )
 
 # candidate kinds, in tie-break priority order
 _OBSTACLE, _GAP, _SPEED = 0, 1, 2
-
-_FLOAT_TOL = 1e-9
 
 
 @dataclass
@@ -264,7 +264,7 @@ class InvariantChecker:
         ring = isinstance(z.domain, Ring)
         length = z.domain.length if ring else None
         n = len(report.reps_before)
-        tol = _FLOAT_TOL if any(isinstance(r, float) for r in report.reps_before[:1]) else 0
+        tol = _tolerance(report.reps_before[:1])
         t = report.time
         for i in range(n):
             xi = report.displacements[i]

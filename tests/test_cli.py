@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 
 import contasep
 from contasep import dynamics
-from contasep.cli import load_config, main
-from contasep.core import ParticleConfig, format_scalar
+from contasep.cli import _parse_args, load_config, main
+from contasep.core import ConfigurationError, ParticleConfig, format_scalar
+from contasep.coupling import run_coupled
 from contasep.dynamics import SimState, run
 from contasep.scenarios import SCENARIOS, ScenarioResult, ScenarioSpec
 from contasep.stats import velocity_estimate
@@ -56,6 +58,25 @@ CRITERION_10_CFG = {
     "particles": {"random": {"count": 50, "seed": 21, "quantize": 100}},
     "particles_xbar": {"random": {"count": 50, "seed": 22, "quantize": 100}},
     "steps": 10000,
+}
+
+
+# irregular_example builds its field on its own line, [0, 20) at levels 2,
+# whatever domain the config names
+IRREGULAR_CFG = {
+    "domain": {"kind": "line", "start": "0", "end": "20"},
+    "obstacles": {"generator": "irregular_example", "params": {"levels": 2}},
+    "particles": {"equispaced": {"count": 3}},
+    "steps": 3,
+}
+IRREGULAR_ON_RING_CFG = {**IRREGULAR_CFG, "domain": {"kind": "ring", "length": "12"}}
+
+# A field whose float sums z + k*v overshoot the speed by about 1e-16.
+NON_DYADIC_CFG = {
+    "domain": {"kind": "ring", "length": "10"},
+    "obstacles": {"positions": ["0", "3.3"], "velocities": ["0.1", "0.7"], "top_speed": "1"},
+    "particles": {"equispaced": {"count": 5}},
+    "steps": 20,
 }
 
 
@@ -369,6 +390,9 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
             {**RING_CFG, "particles": {"equispaced": {"count": 3, "offset": float("inf")}}},
             "particles.equispaced.offset",
         ),
+        (["simulate"], IRREGULAR_ON_RING_CFG, "obstacles.generator 'irregular_example' builds its field on line [0, 20)"),
+        (["extend"], IRREGULAR_ON_RING_CFG, "obstacles.generator 'irregular_example' builds its field on line [0, 20)"),
+        (["couple"], {**CRITERION_10_CFG, "mode": "fast", "steps": 5}, "need exact input"),
     ],
     ids=[
         "no-domain-length",
@@ -403,6 +427,9 @@ def test_invalid_domain_kind_no_partial_files(tmp_path):
         "threshold-a-boolean",
         "scenario-steps-a-fraction",
         "fast-offset-not-finite",
+        "simulate-generated-field-off-the-domain",
+        "extend-generated-field-off-the-domain",
+        "couple-fast-mode",
     ],
 )
 def test_config_errors_exit_one_with_one_line(tmp_path, capsys, command, payload, key):
@@ -444,6 +471,15 @@ FUZZ_COMMANDS = [
     ["zero-range"],
     ["fd-sweep", "--threads", "1", "--rho-min", "0.25", "--rho-max", "0.5", "--points", "2"],
 ]
+# one is appended to each draw, whether its command takes it or not
+FUZZ_OPTIONS = [
+    ["--steps", "3"],
+    ["--burn-in", "1"],
+    ["--mode", "fast"],
+    ["--mode", "exact"],
+    ["--seed", "4"],
+    ["--threads", "1"],
+]
 
 
 def key_paths(node, prefix=()):
@@ -469,7 +505,7 @@ def test_fuzzed_configs_exit_cleanly(data):
             del node[last]
         else:
             node[last] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
-    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS)) + data.draw(st.sampled_from(FUZZ_OPTIONS))
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), payload)
         out = Path(tmp) / "out"
@@ -485,6 +521,91 @@ def test_readme_configs_load_through_the_loader(tmp_path):
     assert len(blocks) >= 3
     for k, block in enumerate(blocks):
         load_config(write_config(tmp_path, json.loads(block), f"readme{k}.json"))
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("contasep ")
+    ]
+    assert {shlex.split(line)[1] for line in lines} == set(COMMAND_ARGV)
+    for line in lines:
+        _parse_args(shlex.split(line)[1:])
+
+
+# Each command's options besides --config and --out, and a value for each
+# shared option; every pair not listed is rejected.
+KEPT_OPTIONS = {
+    "extend": ("--mode", "--seed"),
+    "simulate": ("--steps", "--burn-in", "--mode", "--seed"),
+    "fd-sweep": ("--steps", "--burn-in", "--mode", "--seed", "--threads"),
+    "couple": ("--steps", "--seed"),
+    "zero-range": ("--steps",),
+    "scenario": (),
+}
+OPTION_VALUES = {"--steps": "3", "--burn-in": "1", "--mode": "exact", "--seed": "4", "--threads": "1"}
+COMMAND_ARGV = {
+    "extend": ["extend"],
+    "simulate": ["simulate"],
+    "fd-sweep": ["fd-sweep", *SWEEP_ARGS],
+    "couple": ["couple"],
+    "zero-range": ["zero-range"],
+    "scenario": ["scenario", "half_integer"],
+}
+KEPT_PAIRS = [(c, o) for c, opts in KEPT_OPTIONS.items() for o in ("--config", "--out", *opts)]
+REMOVED_PAIRS = [(c, o) for c, opts in KEPT_OPTIONS.items() for o in OPTION_VALUES if o not in opts]
+
+
+@pytest.mark.parametrize("command, option", REMOVED_PAIRS, ids=[f"{c} {o}" for c, o in REMOVED_PAIRS])
+def test_an_option_its_command_does_not_read_exits_one(tmp_path, capsys, command, option):
+    assert len(REMOVED_PAIRS) == 16
+    cfg = write_config(tmp_path, {**COUPLE_CFG, "zero_range": {"occupancy": [2, 0, 1]}, "steps": 5})
+    out = tmp_path / "out"
+    argv = [*COMMAND_ARGV[command], "--config", cfg, "--out", str(out), option, OPTION_VALUES[option]]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", KEPT_PAIRS, ids=[f"{c} {o}" for c, o in KEPT_PAIRS])
+def test_an_option_its_command_reads_parses(command, option):
+    assert len(KEPT_PAIRS) == 26
+    value = OPTION_VALUES.get(option, "x.json")
+    args = _parse_args([*COMMAND_ARGV[command], option, value])
+    read = getattr(args, option[2:].replace("-", "_"))
+    assert str(read) == value
+
+
+def test_run_coupled_refuses_float_input(tmp_path):
+    cfg = load_config(write_config(tmp_path, CRITERION_10_CFG), mode_override="fast")
+    with pytest.raises(ConfigurationError, match="need exact input"):
+        run_coupled(cfg.particles, cfg.particles_xbar, cfg.obstacles, 1)
+
+
+def test_fast_mode_runs_fields_with_non_dyadic_speeds(tmp_path):
+    cfg = write_config(tmp_path, NON_DYADIC_CFG)
+    summaries = {}
+    for mode in ("exact", "fast"):
+        for command in ("simulate", "extend", "fd-sweep"):
+            out = tmp_path / mode / command
+            extra = ["--threads", "1", *SWEEP_ARGS] if command == "fd-sweep" else []
+            assert main([command, "--config", cfg, "--out", str(out), "--mode", mode, *extra]) == 0
+        summaries[mode] = (
+            json.loads((tmp_path / mode / "extend" / "extend_summary.json").read_text()),
+            json.loads((tmp_path / mode / "simulate" / "simulate_summary.json").read_text()),
+        )
+    (exact_ext, exact_sim), (fast_ext, fast_sim) = summaries["exact"], summaries["fast"]
+    assert exact_ext["points"] == fast_ext["points"] == 43
+    assert abs(fast_sim["V_predicted"] - float(Fraction(exact_sim["V_predicted"]))) < 1e-12
+
+
+def test_generated_field_on_the_config_line_runs(tmp_path):
+    cfg = write_config(tmp_path, IRREGULAR_CFG)
+    for command in ("simulate", "extend"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
 
 
 def test_couple_without_second_side_is_config_error(tmp_path):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from contasep import (
@@ -254,6 +254,25 @@ def test_refine_counts_and_positions(z, waits):
     r = refine_waiting(withwaits)
     assert r.count == z.count + sum(waits)
     assert tuple(sorted(set(r.positions))) == z.positions
+
+
+@given(
+    st.integers(min_value=3, max_value=20),
+    st.lists(st.integers(min_value=0, max_value=199), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(min_value=1, max_value=100), min_size=4, max_size=4),
+)
+def test_float_extension_matches_exact_on_decimal_speeds(length, picks, speeds):
+    # float sums z + k*v of decimal inputs miss the exact ones by about 1e-16
+    picks = sorted(p for p in picks if p < 10 * length)
+    assume(picks)
+    counts = set()
+    for mode in ("exact", "fast"):
+        ring = Ring(parse_scalar(length, mode))
+        positions = [parse_scalar(f"{p}/10", mode) for p in picks]
+        velocities = [parse_scalar(f"{v}/100", mode) for v in speeds[: len(picks)]]
+        z = make_field(positions, ring, velocities=velocities, top=parse_scalar(1, mode))
+        counts.add(build_extended(z).count)
+    assert len(counts) == 1
 
 
 def test_extended_density_includes_waiting_copies():
