@@ -435,6 +435,18 @@ def _fd_points(cfg: ExperimentConfig, rho_ext, offset, counts) -> list:
     return points
 
 
+def _balanced_batches(counts: list, workers: int) -> list:
+    """The indices of counts in workers batches: largest count first, each
+    to the batch with the fewest particles so far."""
+    batches = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for k in sorted(range(len(counts)), key=lambda k: -counts[k]):
+        lightest = loads.index(min(loads))
+        batches[lightest].append(k)
+        loads[lightest] += counts[k]
+    return batches
+
+
 FD_HEADER = ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps", "domain_L")
 
 
@@ -462,23 +474,26 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
         counts.append(max(1, round(rho * length)))
     batch_points = partial(_fd_points, cfg, extended_density(z), cfg.particle_offset)
 
-    # Point k goes to batch k mod W, and each batch runs in its own worker.
-    # The worker count changes only where the points run, never the rows.
+    # Each batch of points runs in its own worker, and the slowest one sets
+    # the wall time, so the batches get near-equal particle counts. The
+    # worker count changes only where the points run, never the rows.
     workers = min(args.threads or os.cpu_count() or 1, len(counts))
-    batches = [counts[k::workers] for k in range(workers)]
+    batches = _balanced_batches(counts, workers)
     if cfg.mode == "fast":
         # imported before the pool forks, so its workers share one load of the float kernel's numpy
         import numpy  # noqa: F401
+    batch_counts = [[counts[k] for k in batch] for batch in batches]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(batch_points, batches))
+            done = list(pool.map(batch_points, batch_counts))
     else:
-        done = list(map(batch_points, batches))
+        done = list(map(batch_points, batch_counts))
     points = [None] * len(counts)
-    for k, results in enumerate(done):
-        points[k::workers] = results
+    for batch, results in zip(batches, done):
+        for k, point in zip(batch, results):
+            points[k] = point
     for violations, row in points:
         if violations:
             raise InvariantViolationError(
@@ -565,16 +580,27 @@ def cmd_scenario(name: str, params: dict, out: Path) -> int:
     return 0 if result.passed else 3
 
 
-_OPTIONS = {"--steps": {"type": int}, "--burn-in": {"type": int}, "--mode": {"choices": ("exact", "fast")},
-            "--seed": {"type": int}, "--threads": {"type": int}}
-# The options each command reads besides --config and --out; it takes no other.
+_OPTIONS = {
+    "--config": {"help": "JSON experiment config"},
+    "--out": {},
+    "--steps": {"type": int},
+    "--burn-in": {"type": int},
+    "--mode": {"choices": ("exact", "fast")},
+    "--seed": {"type": int},
+    "--threads": {"type": int},
+    "--rho-min": {"required": True},
+    "--rho-max": {"required": True},
+    "--points": {"type": int, "required": True},
+}
+# The options each command takes; it takes no other.
 _COMMAND_OPTIONS = {
-    "extend": ("--mode", "--seed"),
-    "simulate": ("--steps", "--burn-in", "--mode", "--seed"),
-    "fd-sweep": ("--steps", "--burn-in", "--mode", "--seed", "--threads"),
-    "couple": ("--steps", "--seed"),
-    "zero-range": ("--steps",),
-    "scenario": (),
+    "extend": ("--config", "--out", "--mode", "--seed"),
+    "simulate": ("--config", "--out", "--steps", "--burn-in", "--mode", "--seed"),
+    "fd-sweep": ("--config", "--out", "--steps", "--burn-in", "--mode", "--seed", "--threads",
+                 "--rho-min", "--rho-max", "--points"),
+    "couple": ("--config", "--out", "--steps", "--seed"),
+    "zero-range": ("--config", "--out", "--steps"),
+    "scenario": ("--config", "--out"),
 }
 
 
@@ -586,18 +612,18 @@ def _parse_args(argv):
     # an option its command does not take reads as None
     parser.set_defaults(steps=None, burn_in=None, mode=None, seed=None, threads=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for command, options in _COMMAND_OPTIONS.items():
-        cmd = commands[command] = sub.add_parser(command)
-        cmd.add_argument("--config", help="JSON experiment config")
-        cmd.add_argument("--out")
+        cmd = sub.add_parser(command)
         for option in options:
             cmd.add_argument(option, **_OPTIONS[option])
-    commands["fd-sweep"].add_argument("--rho-min", required=True)
-    commands["fd-sweep"].add_argument("--rho-max", required=True)
-    commands["fd-sweep"].add_argument("--points", type=int, required=True)
-    commands["scenario"].add_argument("name", choices=sorted(SCENARIOS))
-    return parser.parse_args(argv)
+        if command == "scenario":
+            cmd.add_argument("name", choices=sorted(SCENARIOS))
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        takes = ", ".join(_COMMAND_OPTIONS[args.command])
+        option = unknown[0].partition("=")[0]
+        raise ConfigurationError(f"{args.command} does not take {option}; it takes {takes}")
+    return args
 
 
 def main(argv=None) -> int:

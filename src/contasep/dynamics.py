@@ -370,7 +370,13 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     p + v never passes the next obstacle. So each particle's obstacle index
     is copied from step to step, never searched: an obstacle's is known, a
     neighbour's is its old one, and p + v keeps its own (0 after a ring
-    wrap). Interval counts come from one bincount over (replica, bin).
+    wrap).
+
+    The interval-count invariant carries each particle's bin between the
+    interval edges, and that bin's lower and upper edge, from step to step.
+    Each step searches again only the particles that left their bin. When
+    two or more did, it counts each interval's change from those movers' old
+    and new bins; one mover changes any count by at most 1.
     """
     # imported here so that exact runs, which never reach this kernel, start without numpy
     import numpy as np
@@ -406,18 +412,22 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
         seg_vel = np.append(v_top, zvel)
         obs_ahead = np.append(zpos, INFINITY)
         land[m] = m
-    # interval counts: each replica's particles in each bin between distinct
-    # edges, summed over the bins that make up each interval
-    bounds = np.array(
-        [float(v) for ab in default_intervals(domain) for v in ab], dtype=np.float64
-    )
-    edges = np.unique(bounds)
-    bin_ids = np.arange(edges.size + 1)[:, None]
+    # Interval counts. Bin b holds the positions in [edges[b-1], edges[b]),
+    # the edges being the distinct interval bounds, and in_interval[b] marks
+    # the intervals it lies in. Each particle carries the key of its
+    # replica's bin, replica * nbins + b; lo_of and hi_of give a key's edges.
+    bounds = [float(v) for ab in default_intervals(domain) for v in ab]
+    # sorted(set()), not np.unique: that would load numpy.ma
+    edges = np.array(sorted(set(bounds)), dtype=np.float64)
+    nbins = edges.size + 1
+    bin_ids = np.arange(nbins)[:, None]
     in_interval = (
         (bin_ids > np.searchsorted(edges, bounds[::2]))
         & (bin_ids <= np.searchsorted(edges, bounds[1::2]))
     ).astype(np.int64)
-    bin_base = np.repeat(np.arange(len(states)) * (edges.size + 1), sizes)
+    lo_of = np.tile(np.append(-INFINITY, edges), len(states))
+    hi_of = np.tile(np.append(edges, INFINITY), len(states))
+    key_base = np.repeat(np.arange(len(states)) * nbins, sizes)
     bad = np.zeros(n, dtype=np.int64)
     bad_intervals = np.zeros(len(states), dtype=np.int64)
     snapshots = {}
@@ -429,12 +439,6 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
         if np.count_nonzero(mask):
             bad[mask] += 1
 
-    def interval_counts(r):
-        key = bin_base + np.searchsorted(edges, r, "right")
-        return np.bincount(key, minlength=len(states) * in_interval.shape[0]).reshape(
-            len(states), -1
-        ) @ in_interval
-
     if m:
         idx = np.searchsorted(zpos, reps, side="right")
     else:
@@ -443,7 +447,9 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
         w_gap = laps[nxt] - laps
         w_gap[last] += 1
         r_gap = reps[nxt]
-    counts = interval_counts(reps) if bounds.size else None
+    if bounds:
+        keys = key_base + edges.searchsorted(reps, "right")
+        lo, hi = lo_of[keys], hi_of[keys]
     if 0 in snapshot_at:
         snap(0)
     for t in range(steps):
@@ -492,11 +498,23 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
                 tally(~np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs))
             elif m:
                 tally(r_best > r_obs)
-        if counts is not None:
-            before, counts = counts, interval_counts(r_best)
-            jumped = np.abs(counts - before) > 1
-            if np.count_nonzero(jumped):
-                bad_intervals += jumped.sum(axis=1)
+        if bounds:
+            # only particles that left their bin are searched again; a NaN
+            # position fails both tests, so it is always searched
+            left = (~((r_best >= lo) & (r_best < hi))).nonzero()[0]
+            if left.size:
+                new_keys = key_base[left] + edges.searchsorted(r_best[left], "right")
+                # one particle changes each count by at most 1
+                if left.size > 1:
+                    moves = np.bincount(new_keys, minlength=lo_of.size) - np.bincount(
+                        keys[left], minlength=lo_of.size
+                    )
+                    delta = moves.reshape(len(states), nbins) @ in_interval
+                    if np.abs(delta).max() > 1:
+                        bad_intervals += (np.abs(delta) > 1).sum(axis=1)
+                keys[left] = new_keys
+                lo[left] = lo_of[new_keys]
+                hi[left] = hi_of[new_keys]
         reps = r_best
         laps = new_laps
         if t + 1 in snapshot_at:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import contasep
 from contasep import dynamics
-from contasep.cli import _parse_args, load_config, main
+from contasep.cli import _balanced_batches, _parse_args, load_config, main
 from contasep.core import ConfigurationError, ParticleConfig, format_scalar
 from contasep.coupling import run_coupled
 from contasep.dynamics import SimState, run
@@ -133,7 +133,8 @@ def test_extend_outputs(tmp_path):
 def test_fd_sweep_monotone_and_merged(tmp_path, mode):
     cfg = write_config(tmp_path, RING_CFG)
     written = []
-    # five points: one batch, batches of 3 and 2 points, 2+2+1, one point each
+    # five points of 3, 7, 10, 14 and 18 particles: one batch; batches of
+    # 25 and 27 particles; of 18, 17 and 17; one point each
     for threads in ("1", "2", "3", "7"):
         out = tmp_path / f"fd{threads}"
         code = main([
@@ -157,6 +158,14 @@ def test_fd_sweep_monotone_and_merged(tmp_path, mode):
             run(state, loaded.obstacles, loaded.burn_in)
             traj = run(state, loaded.obstacles, loaded.steps)
             assert row[2] == format_scalar(velocity_estimate(traj).mean)
+
+
+def test_sweep_batches_balance_particle_counts():
+    # criterion 1's sweep, 20 points of n = 60..1200, on two workers
+    counts = [60 * (k + 1) for k in range(20)]
+    batches = _balanced_batches(counts, 2)
+    assert sorted(k for batch in batches for k in batch) == list(range(20))
+    assert [sum(counts[k] for k in batch) for batch in batches] == [6300, 6300]
 
 
 def test_fast_mode_generated_field_runs_vectorized(tmp_path, monkeypatch):
@@ -566,7 +575,9 @@ def test_an_option_its_command_does_not_read_exits_one(tmp_path, capsys, command
     out = tmp_path / "out"
     argv = [*COMMAND_ARGV[command], "--config", cfg, "--out", str(out), option, OPTION_VALUES[option]]
     assert main(argv) == 1
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    sweep_options = [a for a in COMMAND_ARGV[command] if a.startswith("--")]
+    takes = ", ".join(("--config", "--out", *KEPT_OPTIONS[command], *sweep_options))
+    assert capsys.readouterr().err == f"error: {command} does not take {option}; it takes {takes}\n"
     assert not out.exists()
 
 
@@ -699,6 +710,30 @@ def test_exact_commands_never_load_numpy(tmp_path):
 
     imported = run_child("import sys, contasep.cli; print('numpy' in sys.modules)")
     assert imported.stdout == "False\n", imported.stderr
+
+
+# Runs each argument list (a JSON list) through main, then prints whether
+# numpy and numpy.ma were loaded.
+NUMPY_MA_LOADED = """
+import json, sys
+from contasep.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+print("numpy" in sys.modules, "numpy.ma" in sys.modules)
+"""
+
+
+def test_fast_runs_never_load_numpy_ma(tmp_path):
+    ring = write_config(tmp_path, {**RING_CFG, "trajectory": False})
+    child = [
+        ["fd-sweep", "--config", ring, "--steps", "100", "--mode", "fast", "--threads", "1", *SWEEP_ARGS],
+        ["simulate", "--config", ring, "--mode", "fast"],
+    ]
+    result = run_child(NUMPY_MA_LOADED, json.dumps([argv + ["--out", str(tmp_path / argv[0])] for argv in child]))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True False\n"
 
 
 # Runs main with a process pool that records whether numpy was loaded when
