@@ -604,8 +604,16 @@ _COMMAND_OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigurationError, so main
+    prints them as its one error line instead of the usage block."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contasep",
         description="Deterministic continuum exclusion dynamics with obstacles",
     )
@@ -630,8 +638,9 @@ def main(argv=None) -> int:
     try:
         try:
             args = _parse_args(argv)
-        except SystemExit as exc:
-            return 0 if not exc.code else 1
+        except SystemExit:
+            # only --help exits; every other argument error raises
+            return 0
         if args.command == "scenario":
             raw = _load_json(args.config) if args.config else {}
             # every scenario parameter is an integer

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence, Union
 
@@ -245,30 +246,38 @@ class ObstacleField:
     def empty(cls, domain: Domain, top_speed: Scalar) -> "ObstacleField":
         return cls((), (), (), top_speed, domain)
 
-    def segment_index(self, p: Scalar) -> int:
-        """Index of the segment containing p; a point on an obstacle belongs to
-        the segment ahead of it. -1 means left of every obstacle (line only)."""
-        if not self.positions:
-            return -1
-        i = bisect_right(self.positions, p) - 1
-        if i < 0 and isinstance(self.domain, Ring):
-            return self.count - 1
-        return i
+    @cached_property
+    def table(self) -> tuple:
+        """The step rule's lookup as four tuples (speed, ahead, laps, land),
+        each indexed by k = bisect_right(positions, p), 0 <= k <= count.
+
+        speed[k] is the speed of p's segment: a point on an obstacle belongs
+        to the segment ahead of it, a ring's points before its first obstacle
+        to the last one's, and top_speed caps the rest. ahead[k] is the next
+        obstacle strictly ahead of p, reached after laps[k] ring wraps, and
+        land[k] is the k of a particle standing on it, so land[k] - 1 is its
+        index. With no obstacle ahead (past a line's last one, or an empty
+        field) ahead[k] is INFINITY and land[k] is 0; an empty ring's entry
+        keeps 1 lap, so it is never nearer than a wrapped move.
+        """
+        pos, m = self.positions, self.count
+        ring = isinstance(self.domain, Ring)
+        seam = ring and m > 0
+        speed = (self.velocities[-1] if seam else self.top_speed,) + self.velocities
+        ahead = pos + (pos[0] if seam else INFINITY,)
+        laps = (0,) * m + (1 if ring else 0,)
+        land = tuple(range(1, m + 1)) + (1 if seam else 0,)
+        return speed, ahead, laps, land
 
     def segment_velocity(self, p: Scalar) -> Scalar:
-        i = self.segment_index(p)
-        return self.top_speed if i < 0 else self.velocities[i]
+        return self.table[0][bisect_right(self.positions, p)]
 
     def next_ahead(self, p: Scalar) -> tuple:
-        """(distance, index) of the nearest obstacle strictly ahead of p."""
-        if not self.positions:
-            return (INFINITY, -1)
-        i = bisect_right(self.positions, p)
-        if i < self.count:
-            return (self.positions[i] - p, i)
-        if isinstance(self.domain, Ring):
-            return (self.positions[0] + self.domain.length - p, 0)
-        return (INFINITY, -1)
+        """(distance, index) of the nearest obstacle strictly ahead of p; (INFINITY, -1) if none."""
+        _, ahead, laps, land = self.table
+        k = bisect_right(self.positions, p)
+        d = ahead[k] + self.domain.length - p if laps[k] else ahead[k] - p
+        return (d, land[k] - 1)
 
 
 def _lattice_domain(domain: Domain, scale: int) -> Domain:

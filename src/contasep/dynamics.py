@@ -102,18 +102,17 @@ def _candidate(state: SimState, z: ObstacleField, i: int) -> tuple:
 
     Candidates are compared as (wrap, rep) pairs, which orders them by
     unwrapped target position without any arithmetic on the positions
-    themselves; ties go to the obstacle, then to the gap.
+    themselves; ties go to the obstacle, then to the gap. p's segment speed
+    and the next obstacle ahead come from z.table.
     """
     reps, laps = state.reps, state.laps
     n = len(reps)
     p = reps[i]
     ring = isinstance(state.domain, Ring)
-    zpos = z.positions
+    speed, ahead, ahead_laps, land = z.table
+    k = bisect_right(z.positions, p)
 
-    # obstacles at or behind p: one search gives p's segment (the last
-    # obstacle's on a ring before the first) and the next obstacle ahead
-    k = bisect_right(zpos, p)
-    vcap = z.velocities[k - 1] if k or (ring and zpos) else z.top_speed
+    vcap = speed[k]
     t_spd = p + vcap
     if ring and t_spd >= state.domain.length:
         best_w, best_r = 1, t_spd - state.domain.length
@@ -130,17 +129,11 @@ def _candidate(state: SimState, z: ObstacleField, i: int) -> tuple:
     if gw is not None and (gw < best_w or (gw == best_w and gr <= best_r)):
         best_w, best_r, kind = gw, gr, _GAP
 
-    if k < len(zpos):
-        j_obs = k
-    else:
-        j_obs = 0 if ring and zpos else -1
-    if j_obs >= 0:
-        zj = zpos[j_obs]
-        ow = 1 if zj <= p else 0
-        if ow < best_w or (ow == best_w and zj <= best_r):
-            best_w, best_r, kind = ow, zj, _OBSTACLE
+    ow, zj = ahead_laps[k], ahead[k]
+    if ow < best_w or (ow == best_w and zj <= best_r):
+        best_w, best_r, kind = ow, zj, _OBSTACLE
 
-    return best_w, best_r, kind, j_obs, vcap
+    return best_w, best_r, kind, land[k] - 1, vcap
 
 
 def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
@@ -250,8 +243,9 @@ class InvariantChecker:
     """Observer that re-derives the per-step invariants from each report.
 
     Records violation messages instead of raising so a run can be audited
-    whole; distances to obstacles are recomputed here, independently of the
-    branch the engine chose.
+    whole. It reads the engines' lookup, z.table, through z.next_ahead, but
+    recomputes each distance to the next obstacle from the position before
+    the step, independently of the branch the engine chose.
     """
 
     def __init__(self, z: ObstacleField):
@@ -360,17 +354,21 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     """Vectorized float kernel for wait-free fields; returns (snapshots, violations).
 
     Every replica shares the first one's domain and the field z; their
-    particles sit in one flat array, replica after replica. The kernel runs
-    the scalar engine's candidate comparison, so each replica's positions are
-    bit-identical to it. snapshots maps a time to the flat array of unwrapped
-    positions; violations holds each replica's invariant count, the same as
-    the replica reports when run alone.
+    particles sit in one flat array, replica after replica. Each particle's
+    candidates are compared as (wrap, rep) pairs with the scalar engine's
+    tie-breaks, reading the same z.table, so each replica's positions are
+    bit-identical to it. One body serves both domains: a line wraps at
+    INFINITY and a lap on it adds no length, and a line's leader sees
+    itself one lap ahead, a gap no line move reaches. snapshots maps a time
+    to the flat array of unwrapped positions; violations holds each
+    replica's invariant count, the same as the replica reports when run
+    alone.
 
     Each move lands on an obstacle, a neighbour's old position or p + v, and
-    p + v never passes the next obstacle. So each particle's obstacle index
-    is copied from step to step, never searched: an obstacle's is known, a
-    neighbour's is its old one, and p + v keeps its own (0 after a ring
-    wrap).
+    p + v never passes the next obstacle. So each particle's table index
+    is copied from step to step, never searched: an obstacle's is its land
+    entry, a neighbour's is its old one, and p + v keeps its own (0 after a
+    ring wrap).
 
     The interval-count invariant carries each particle's bin between the
     interval edges, and that bin's lower and upper edge, from step to step.
@@ -390,28 +388,15 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     n = reps.shape[0]
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
-    # the particle ahead within the replica; a line's last particle has none
+    # the particle ahead within the replica, one lap on for its last particle
     nxt = np.arange(1, n + 1)
     nxt[last] = first if ring else last
-    m = z.count
-    zpos = np.array(z.positions, dtype=np.float64)
-    zvel = np.array(z.velocities, dtype=np.float64)
-    v_top = float(z.top_speed)
-    length = float(domain.length) if ring else None
-    # indexed by idx = searchsorted(zpos, p, "right"): the speed of p's
-    # segment, the next obstacle strictly ahead of p, the laps to reach it,
-    # and the idx of a particle that lands on it
-    obs_lap = np.zeros(m + 1, dtype=np.int64)
-    land = np.arange(1, m + 2)
-    if ring:
-        seg_vel = np.append(zvel[-1:], zvel)
-        obs_ahead = np.append(zpos, zpos[:1])
-        obs_lap[m] = 1
-        land[m] = 1
-    else:
-        seg_vel = np.append(v_top, zvel)
-        obs_ahead = np.append(zpos, INFINITY)
-        land[m] = m
+    # a lap adds a ring's length, nothing on a line, which never wraps
+    period = float(domain.length) if ring else 0.0
+    wrap_at = period if ring else INFINITY
+    # z.table, indexed by idx = searchsorted(z.positions, p, "right")
+    speed, ahead = (np.array(col, dtype=np.float64) for col in z.table[:2])
+    ahead_laps, land = (np.array(col, dtype=np.int64) for col in z.table[2:])
     # Interval counts. Bin b holds the positions in [edges[b-1], edges[b]),
     # the edges being the distinct interval bounds, and in_interval[b] marks
     # the intervals it lies in. Each particle carries the key of its
@@ -433,71 +418,50 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     snapshots = {}
 
     def snap(t):
-        snapshots[t] = laps * length + reps if ring else reps
+        snapshots[t] = laps * period + reps
 
     def tally(mask):
         if np.count_nonzero(mask):
             bad[mask] += 1
 
-    if m:
-        idx = np.searchsorted(zpos, reps, side="right")
-    else:
-        vcap = np.full(n, v_top)
-    if ring:
-        w_gap = laps[nxt] - laps
-        w_gap[last] += 1
-        r_gap = reps[nxt]
+    idx = np.searchsorted(np.array(z.positions, dtype=np.float64), reps, side="right")
+    w_gap = laps[nxt] - laps
+    w_gap[last] += 1
+    r_gap = reps[nxt]
     if bounds:
         keys = key_base + edges.searchsorted(reps, "right")
         lo, hi = lo_of[keys], hi_of[keys]
     if 0 in snapshot_at:
         snap(0)
     for t in range(steps):
-        if m:
-            vcap = seg_vel[idx]
+        vcap = speed[idx]
         t_spd = reps + vcap
-        if ring:
-            wrap = t_spd >= length
-            w_best = wrap.astype(np.int64)
-            r_best = np.where(wrap, t_spd - length, t_spd)
-            gap = np.where(w_gap == w_best, r_gap <= r_best, w_gap < w_best)
-            w_best = np.where(gap, w_gap, w_best)
-            r_best = np.where(gap, r_gap, r_best)
-            if m:
-                w_obs = obs_lap[idx]
-                r_obs = obs_ahead[idx]
-                obs = np.where(w_obs == w_best, r_obs <= r_best, w_obs < w_best)
-                w_best = np.where(obs, w_obs, w_best)
-                r_best = np.where(obs, r_obs, r_best)
-                idx = np.where(obs, land[idx], np.where(gap, idx[nxt], np.where(wrap, 0, idx)))
-            disp = (w_best * length + r_best) - reps
-            new_laps = laps + w_best
-            w_gap = new_laps[nxt] - new_laps
-            r_gap = r_best[nxt]
-            gap_after = w_gap * length + r_gap - r_best
-            gap_after[last] += length
-            tally(gap_after < -_FLOAT_TOL)
-            w_gap[last] += 1
-        else:
-            r_gap = reps[nxt]
-            r_gap[last] = INFINITY
-            r_best = np.minimum(t_spd, r_gap)
-            if m:
-                r_obs = obs_ahead[idx]
-                r_best = np.minimum(r_best, r_obs)
-                idx = np.where(r_best == r_obs, land[idx], np.where(r_best == r_gap, idx[nxt], idx))
-            disp = r_best - reps
-            new_laps = laps
-            tally(r_best > r_best[nxt] + _FLOAT_TOL)
+        wrap = t_spd >= wrap_at
+        w_best = wrap.astype(np.int64)
+        r_best = np.where(wrap, t_spd - wrap_at, t_spd)
+        gap = np.where(w_gap == w_best, r_gap <= r_best, w_gap < w_best)
+        w_best = np.where(gap, w_gap, w_best)
+        r_best = np.where(gap, r_gap, r_best)
+        w_obs = ahead_laps[idx]
+        r_obs = ahead[idx]
+        obs = np.where(w_obs == w_best, r_obs <= r_best, w_obs < w_best)
+        w_best = np.where(obs, w_obs, w_best)
+        r_best = np.where(obs, r_obs, r_best)
+        idx = np.where(obs, land[idx], np.where(gap, idx[nxt], np.where(wrap, 0, idx)))
+        disp = (w_best * period + r_best) - reps
+        new_laps = laps + w_best
+        w_gap = new_laps[nxt] - new_laps
+        r_gap = r_best[nxt]
+        gap_after = w_gap * period + r_gap - r_best
+        gap_after[last] += period
+        tally(gap_after < -_FLOAT_TOL)
+        w_gap[last] += 1
         # A displacement in [0, cap] rules out the other per-particle faults
         # too: a target past the next obstacle needs a NaN position.
         if np.count_nonzero((disp >= -_FLOAT_TOL) & (disp <= vcap)) < n:
             tally(disp < -_FLOAT_TOL)
             tally(disp > vcap + _FLOAT_TOL)
-            if ring and m:
-                tally(~np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs))
-            elif m:
-                tally(r_best > r_obs)
+            tally(~np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs))
         if bounds:
             # only particles that left their bin are searched again; a NaN
             # position fails both tests, so it is always searched

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import contasep
 from contasep import dynamics
-from contasep.cli import _balanced_batches, _parse_args, load_config, main
+from contasep.cli import _balanced_batches, _fd_points, _parse_args, load_config, main
 from contasep.core import ConfigurationError, ParticleConfig, format_scalar
 from contasep.coupling import run_coupled
 from contasep.dynamics import SimState, run
@@ -187,6 +187,39 @@ def test_fast_mode_generated_field_runs_vectorized(tmp_path, monkeypatch):
     assert code == 0
     # one burn-in call and one measured call for the batch of both points
     assert calls == [(60 + 120, 2), (60 + 120, 20)]
+
+
+# criterion 8's ring with a wait on two of its eight obstacles
+WAITED_RING_CFG = {
+    "domain": {"kind": "ring", "length": "24"},
+    "obstacles": {
+        "positions": [str(k) for k in range(0, 24, 3)],
+        "waits": [1, 0, 0, 0, 1, 0, 0, 0],
+        "velocities": ["1", "1/2"] * 4,
+        "top_speed": "1",
+    },
+    "particle_offset": "1/4",
+    "steps": 40,
+}
+
+
+def test_fast_sweep_on_a_waited_field_runs_the_scalar_engine_unchecked(tmp_path, monkeypatch):
+    # The vectorized kernel has no waits, so each point of a fast sweep on
+    # this field runs alone in the scalar engine, which counts no invariant
+    # violations: the sweep's exit-3 gate sees None. Running waits in the
+    # kernel (ROADMAP direction 1) is meant to change both.
+    cfg = write_config(tmp_path, WAITED_RING_CFG)
+    calls = []
+    monkeypatch.setattr(dynamics, "_run_fast", lambda *args: calls.append(args))
+    code = main([
+        "fd-sweep", "--config", cfg, "--out", str(tmp_path / "fd"),
+        "--mode", "fast", "--threads", "1", "--rho-min", "0.25", "--rho-max", "1", "--points", "2",
+    ])
+    assert code == 0
+    assert calls == []
+    loaded = load_config(cfg, mode_override="fast")
+    points = _fd_points(loaded, 0.5, loaded.particle_offset, [6, 24])
+    assert [violations for violations, _ in points] == [None, None]
 
 
 def one_violation_per_replica(real):
@@ -451,6 +484,32 @@ def test_config_errors_exit_one_with_one_line(tmp_path, capsys, command, payload
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["fd-sweep", "--rho-min", "0.1", "--rho-max", "1"], "fd-sweep: the following arguments are required: --points"),
+        (["simulate", "--steps", "x"], "simulate: argument --steps: invalid int value: 'x'"),
+        ([], "contasep: the following arguments are required: command"),
+    ],
+    ids=["fd-sweep-without-points", "steps-not-an-integer", "no-command"],
+)
+def test_argument_errors_exit_one_with_one_line(tmp_path, capsys, argv, key):
+    cfg = write_config(tmp_path, RING_CFG)
+    out = tmp_path / "out"
+    config = ["--config", cfg, "--out", str(out)] if argv else []
+    assert main([*argv, *config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: contasep") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fd-sweep", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: contasep")
 
 
 # The base of the config fuzz test: the top-level keys the loader reads, at

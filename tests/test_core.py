@@ -181,6 +181,45 @@ def test_segment_velocity_uses_segment_ahead():
     assert z.segment_velocity(1) == 2            # wraps to the last segment
 
 
+# The step rule's one lookup: both engines and InvariantChecker read
+# ObstacleField.table, so its entries are pinned by hand here.
+def test_table_on_a_ring():
+    z = make_field((2, 6), Ring(10), velocities=(F(1, 2), 2), top=3)
+    assert z.table == ((2, F(1, 2), 2), (2, 6, 2), (0, 0, 1), (1, 2, 1))
+    assert z.next_ahead(2) == (4, 1)             # on an obstacle: the next one
+    assert z.segment_velocity(2) == F(1, 2)
+    assert z.next_ahead(1) == (1, 0)
+    assert z.segment_velocity(1) == 2
+    assert z.next_ahead(6) == (6, 0)             # on the last obstacle: across the seam
+    assert z.next_ahead(F(13, 2)) == (F(11, 2), 0)
+    assert z.segment_velocity(F(13, 2)) == 2
+
+
+def test_table_on_an_empty_ring():
+    z = make_field((), Ring(10), top=F(3, 2))
+    # one lap on, so it is never nearer than a wrapped move
+    assert z.table == ((F(3, 2),), (INFINITY,), (1,), (0,))
+    assert z.next_ahead(0) == (INFINITY, -1)
+    assert z.next_ahead(F(19, 2)) == (INFINITY, -1)
+    assert z.segment_velocity(F(19, 2)) == F(3, 2)
+
+
+def test_table_on_a_line():
+    z = make_field((2, 6), Line(0, 20), velocities=(F(1, 2), 2), top=3)
+    assert z.table == ((3, F(1, 2), 2), (2, 6, INFINITY), (0, 0, 0), (1, 2, 0))
+    assert z.next_ahead(1) == (1, 0)             # left of every obstacle
+    assert z.segment_velocity(1) == 3
+    assert z.next_ahead(2) == (4, 1)
+    assert z.segment_velocity(2) == F(1, 2)
+    assert z.next_ahead(6) == (INFINITY, -1)     # on and past the last obstacle
+    assert z.next_ahead(15) == (INFINITY, -1)
+    assert z.segment_velocity(15) == 2
+    empty = make_field((), HALF_LINE, top=F(3, 2))
+    assert empty.table == ((F(3, 2),), (INFINITY,), (0,), (0,))
+    assert empty.next_ahead(5) == (INFINITY, -1)
+    assert empty.segment_velocity(5) == F(3, 2)
+
+
 def test_obstacle_field_validates_lengths():
     with pytest.raises(ConfigurationError):
         ObstacleField((1, 2), (0,), (1, 1), 1, Ring(5))

@@ -199,6 +199,30 @@ def test_replicas_of_different_sizes():
     assert [jumps(r) > 0 for r in first] == [False, True, False]
 
 
+# Pinned cases for the table entries with no obstacle ahead, which random
+# fields reach only sometimes.
+def test_empty_ring_particle_wraps_the_seam():
+    # the empty ring's entry is one lap on, so it never beats a wrapped move
+    z = ObstacleField.empty(Ring(8), F(3, 2))
+    (reports,) = assert_batch_matches(z, [([F(3), F(15, 2)], [0, 0])], 4)
+    assert reports[0].reps_after == (F(9, 2), F(1))
+    assert reports[0].laps_after == (0, 1)
+
+
+def test_line_without_obstacles():
+    z = ObstacleField.empty(Line(F(-1, 2), 12), F(3, 2))
+    (reports,) = assert_batch_matches(z, [([F(-1, 2), F(0), F(3)], [0, 0, 0])], 4)
+    # the first particle is gap-bound, the leader moves at top speed
+    assert reports[0].reps_after == (F(0), F(3, 2), F(9, 2))
+
+
+def test_line_leader_passes_the_last_obstacle():
+    z = ObstacleField((F(1), F(2)), (0, 0), (F(1, 2), F(1)), F(3, 2), Line(0, INFINITY))
+    (reports,) = assert_batch_matches(z, [([F(1, 4), F(7, 4)], [0, 0])], 4)
+    # onto the last obstacle, then on at its segment's speed with none ahead
+    assert [r.reps_after[1] for r in reports] == [2, 3, 4, 5]
+
+
 def test_ineligible_batch_runs_each_replica_alone(monkeypatch):
     # a replica in the middle of a wait cannot join the kernel, so each
     # replica runs alone: the other one as a batch of one
