@@ -356,7 +356,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     x = _require(cfg.particles, "a particle spec")
     z = cfg.obstacles or ObstacleField.empty(cfg.domain, cfg.top_speed)
     rho_x = _ring_density(x)
-    rho_ext = extended_density(z) if z.count else None
+    # only a ring gets a prediction, and an open line's field has no extension
+    rho_ext = extended_density(z) if z.count and rho_x is not None else None
     predicted = predict_velocity(rho_x, rho_ext, z.top_speed) if rho_x is not None and rho_x > 0 else None
     phase = classify_phase(rho_x, rho_ext, z.top_speed) if predicted is not None else None
 

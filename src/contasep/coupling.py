@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import Optional
 
 from .core import (
@@ -124,25 +125,34 @@ def _offset(a, b, period):
     return d
 
 
-def _side_events(side, mover_prev, mover_next, other_prev, other_next, period):
+def _ranks(u_mine, u_other, period) -> list:
+    """Each particle's rank among the other side's extended positions: how many
+    are at or below it, as an extended index (see detect_overtakes).
+
+    A mover passed the copies indexed from its rank before a step to one below
+    its rank after.
+    """
+    return [_ext_bisect(u_other, u, period) for u in u_mine]
+
+
+def _side_events(side, mover_prev, mover_next, rank_prev, rank_next, n_other):
     events = []
-    n = len(other_prev)
-    for i in range(len(mover_prev)):
-        if mover_next[i] <= mover_prev[i]:
-            continue
-        lo = _ext_bisect(other_prev, mover_prev[i], period)
-        hi = _ext_bisect(other_next, mover_next[i], period) - 1
-        if lo <= hi:
-            if hi - lo + 1 > n:
+    for i, (lo, stop) in enumerate(zip(rank_prev, rank_next)):
+        if lo < stop and mover_next[i] > mover_prev[i]:
+            if stop - lo > n_other:
                 raise InvariantViolationError(
                     f"mover {i} swept more than one full lap of the other process"
                 )
-            events.append(OvertakeEvent(side, i, tuple(range(lo, hi + 1))))
+            events.append(OvertakeEvent(side, i, tuple(range(lo, stop))))
     return events
 
 
 def detect_overtakes(
-    prev: CoupledState, next_state: CoupledState, *, unwrapped: Optional[tuple] = None
+    prev: CoupledState,
+    next_state: CoupledState,
+    *,
+    unwrapped: Optional[tuple] = None,
+    ranks: Optional[tuple] = None,
 ) -> list:
     """All passing events between consecutive states, first-process side first.
 
@@ -154,7 +164,10 @@ def detect_overtakes(
     overtaker exactly.
 
     unwrapped, if given, is the unwrapped positions (x before, x after, xbar
-    before, xbar after), which the function otherwise computes.
+    before, xbar after), and ranks, if given, their _ranks against the other
+    side at the same time, in the same order; the function otherwise
+    computes them. A run carries each step's ranks after into the next step
+    as its ranks before.
     """
     if prev.x.count != next_state.x.count or prev.xbar.count != next_state.xbar.count:
         raise ConfigurationError("mismatched states")
@@ -167,8 +180,15 @@ def detect_overtakes(
         prev.xbar.unwrapped(),
         next_state.xbar.unwrapped(),
     )
-    ev_x = _side_events("x", x_prev, x_next, b_prev, b_next, period)
-    ev_b = _side_events("xbar", b_prev, b_next, x_prev, x_next, period)
+    rx_prev, rx_next, rb_prev, rb_next = ranks or (
+        _ranks(x_prev, b_prev, period),
+        _ranks(x_next, b_next, period),
+        _ranks(b_prev, x_prev, period),
+        _ranks(b_next, x_next, period),
+    )
+    n_x, n_b = len(x_prev), len(b_prev)
+    ev_x = _side_events("x", x_prev, x_next, rx_prev, rx_next, n_b)
+    ev_b = _side_events("xbar", b_prev, b_next, rb_prev, rb_next, n_x)
 
     for evs in (ev_x, ev_b):
         for a, b in zip(evs, evs[1:]):
@@ -178,8 +198,6 @@ def detect_overtakes(
                 )
     movers_x = {ev.mover: ev for ev in ev_x}
     movers_b = {ev.mover: ev for ev in ev_b}
-    n_b = len(b_prev)
-    n_x = len(x_prev)
     for ev in ev_x:
         for m in ev.overtaken:
             hit = movers_b.get(m % n_b)
@@ -331,7 +349,7 @@ def _order_stacked_pairs(mine, theirs, u_mine, u_theirs, period):
             theirs[j] = i
 
 
-def is_proper(state: CoupledState, *, unwrapped: Optional[tuple] = None) -> list:
+def is_proper(state: CoupledState) -> list:
     """Violations of the pair-integrity conditions; empty list means proper.
 
     One check serves both domains on the covering line: each pair's partner
@@ -341,54 +359,58 @@ def is_proper(state: CoupledState, *, unwrapped: Optional[tuple] = None) -> list
     either side lies strictly inside the open span. Additionally no two pairs
     may cross: one strictly behind the other on the first side, strictly
     ahead of it on the second.
-
-    unwrapped, if given, is the state's unwrapped positions (x, xbar), which
-    the function otherwise computes.
     """
     out = []
     if not state.pairing:
         return out
     z = state.z
     period = z.domain.length if isinstance(z.domain, Ring) else None
-
-    def wrap(u):
-        return u if period is None else u % period
-
-    u_x, u_b = unwrapped or (state.x.unwrapped(), state.xbar.unwrapped())
-    defects = sorted(
-        [wrap(u_x[i]) for i in state.defects_x()] + [wrap(u_b[j]) for j in state.defects_xbar()]
-    )
+    speed, obstacle, obstacle_laps, _ = z.table
+    # the positions taken in [0, L) on a ring; a partner's offset needs no more
+    r_x, r_b = state.x.reps, state.xbar.reps
+    defects = None
     pairs = []
     for i, j in sorted(state.pairing.items()):
-        a = wrap(u_x[i])
-        offset = _offset(a, u_b[j], period)
+        a = r_x[i]
+        offset = _offset(a, r_b[j], period)
         # ties in x are walked by index on a line, by the partner's place in [0, L) on a ring
-        pairs.append((a, 0 if period is None else wrap(u_b[j]), i, j, a + offset))
-        lo, width = (a, offset) if offset >= 0 else (a + offset, -offset)
-        vseg = z.segment_velocity(wrap(lo))
-        if width > vseg:
-            out.append(f"pair ({i},{j}): span {width} exceeds local speed {vseg}")
-        if width > 0:
-            if z.count:
-                d_obs, _ = z.next_ahead(wrap(lo))
-                if d_obs < width:
-                    out.append(f"pair ({i},{j}): obstacle strictly inside span")
-            if defects:
-                inside = _ext_bisect(defects, lo + width, period, bisect_left) - _ext_bisect(
-                    defects, lo, period
-                )
-                if inside > 0:
-                    out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
+        pairs.append((a, 0 if period is None else r_b[j], i, j, a + offset))
+        if not offset:
+            # an empty span holds nothing, and no speed is zero
+            continue
+        # the span's trailing end, taken in [0, L) on a ring
+        lo, width = (a, offset) if offset > 0 else (r_b[j], -offset)
+        k = bisect_right(z.positions, lo)
+        if width > speed[k]:
+            out.append(f"pair ({i},{j}): span {width} exceeds local speed {speed[k]}")
+        d_obs = obstacle[k] + period - lo if obstacle_laps[k] else obstacle[k] - lo
+        if d_obs < width:
+            out.append(f"pair ({i},{j}): obstacle strictly inside span")
+        if defects is None:
+            defects = sorted([r_x[d] for d in state.defects_x()] + [r_b[d] for d in state.defects_xbar()])
+        if defects:
+            inside = _ext_bisect(defects, lo + width, period, bisect_left) - _ext_bisect(
+                defects, lo, period
+            )
+            if inside > 0:
+                out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
 
     # walked in x order; on a ring (x taken in [0, L)) each pair also meets
     # the pairs one period on, and since a partner is within half a period
-    # of its pair, no crossing reaches further
+    # of its pair, no crossing reaches further. Pairs whose partners keep
+    # their order, one period on included, cross nowhere.
     pairs.sort()
+    ends = [pair[4] for pair in pairs]
+    if period is not None:
+        ends.append(ends[0] + period)
+    if all(map(le, ends, ends[1:])):
+        return out
     count = len(pairs)
     ahead = pairs if period is None else pairs + [(a + period, t, i, j, b + period) for a, t, i, j, b in pairs]
     window = 2 * z.top_speed
     for p, (a, _, i, j, b) in enumerate(pairs):
-        for c, _, k, l, d in ahead[p + 1 : p + count]:
+        for q in range(p + 1, count if period is None else p + count):
+            c, _, k, l, d = ahead[q]
             if c - a > window:
                 break
             if a < c and b > d:
@@ -448,24 +470,29 @@ def run_coupled(
     scale, domain, z_work, px, pb = lattice
     state = CoupledState.initial(ParticleConfig(px, domain), ParticleConfig(pb, domain), z_work)
     initial_defects = state.x.count + state.xbar.count
-    # each step's unwrapped positions are built once, and are the next step's "before"
+    # each step's unwrapped positions and ranks are built once, and are the next step's "before"
+    period = domain.length
     u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
+    r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
     start_x, start_b = u_x[0], u_b[0]
     rows = []
 
     for t in range(1, steps + 1):
-        prev, prev_x, prev_b = state.copy(), u_x, u_b
+        prev, prev_x, prev_b, prev_rx, prev_rb = state.copy(), u_x, u_b, r_x, r_b
         _step_scalar(state.x, z_work)
         _step_scalar(state.xbar, z_work)
         state.time = t
         u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
-        events = detect_overtakes(prev, state, unwrapped=(prev_x, u_x, prev_b, u_b))
+        r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
+        events = detect_overtakes(
+            prev, state, unwrapped=(prev_x, u_x, prev_b, u_b), ranks=(prev_rx, r_x, prev_rb, r_b)
+        )
         state = apply_pairing(state, events, unwrapped=(u_x, u_b))
 
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
         v_gap_abs = Fraction(abs((u_x[0] - start_x) - (u_b[0] - start_b)), scale)
-        if is_proper(state, unwrapped=(u_x, u_b)):
+        if is_proper(state):
             shown = _in_input_units(state, z, scale)
             raise CouplingError(
                 f"pairing lost integrity at t={t}",

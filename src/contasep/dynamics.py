@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,9 +35,6 @@ from .core import (
     _tolerance,
     to_lattice,
 )
-
-# candidate kinds, in tie-break priority order
-_OBSTACLE, _GAP, _SPEED = 0, 1, 2
 
 
 @dataclass
@@ -84,107 +82,96 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Everything one step did, for observers."""
+    """Everything one step did, for observers.
+
+    length is the ring's length, None on a line.
+    """
 
     time: int
     reps_before: tuple
     laps_before: tuple
     reps_after: tuple
     laps_after: tuple
-    displacements: tuple
+    length: Scalar | None
     blocked: tuple
     hits: tuple
     v_caps: tuple
 
-
-def _candidate(state: SimState, z: ObstacleField, i: int) -> tuple:
-    """Best movement target for particle i as (wrap, rep, kind, obstacle_index, v_cap).
-
-    Candidates are compared as (wrap, rep) pairs, which orders them by
-    unwrapped target position without any arithmetic on the positions
-    themselves; ties go to the obstacle, then to the gap. p's segment speed
-    and the next obstacle ahead come from z.table.
-    """
-    reps, laps = state.reps, state.laps
-    n = len(reps)
-    p = reps[i]
-    ring = isinstance(state.domain, Ring)
-    speed, ahead, ahead_laps, land = z.table
-    k = bisect_right(z.positions, p)
-
-    vcap = speed[k]
-    t_spd = p + vcap
-    if ring and t_spd >= state.domain.length:
-        best_w, best_r = 1, t_spd - state.domain.length
-    else:
-        best_w, best_r = 0, t_spd
-    kind = _SPEED
-
-    if i + 1 < n:
-        gw, gr = laps[i + 1] - laps[i], reps[i + 1]
-    elif ring:
-        gw, gr = laps[0] + 1 - laps[i], reps[0]
-    else:
-        gw = None
-    if gw is not None and (gw < best_w or (gw == best_w and gr <= best_r)):
-        best_w, best_r, kind = gw, gr, _GAP
-
-    ow, zj = ahead_laps[k], ahead[k]
-    if ow < best_w or (ow == best_w and zj <= best_r):
-        best_w, best_r, kind = ow, zj, _OBSTACLE
-
-    return best_w, best_r, kind, land[k] - 1, vcap
+    @cached_property
+    def displacements(self) -> tuple:
+        # built on first read: the coupled loop never reads it
+        before, after = self.reps_before, self.reps_after
+        if self.length is None:
+            return tuple(a - b for a, b in zip(after, before))
+        length = self.length
+        return tuple(
+            (la - lb) * length + a - b
+            for a, b, la, lb in zip(after, before, self.laps_after, self.laps_before)
+        )
 
 
 def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
-    n = state.count
-    ring = isinstance(state.domain, Ring)
-    length = state.domain.length if ring else None
-    reps_before = tuple(state.reps)
-    laps_before = tuple(state.laps)
-    new_reps = list(state.reps)
-    new_laps = list(state.laps)
+    """One step of every particle, in place.
+
+    Each particle's candidates, the next obstacle strictly ahead, its
+    neighbour's old position and p + its segment speed, are compared as
+    (wrap, rep) pairs, which orders them by unwrapped target position without
+    any arithmetic on the positions themselves; ties go to the obstacle, then
+    to the gap. p's segment speed and next obstacle come from z.table. A
+    line's leader sees particle 0 one lap on, a gap no line move reaches.
+    """
+    reps, laps, waiting = state.reps, state.laps, state.wait_remaining
+    n = len(reps)
+    length = state.domain.length if isinstance(state.domain, Ring) else None
+    positions, waits = z.positions, z.waits
+    speed, ahead, ahead_laps, land = z.table
+    next_reps = reps[1:] + reps[:1]
+    next_laps = [*laps[1:], laps[0] + 1] if n else []
+    new_reps = list(reps)
+    new_laps = list(laps)
     blocked = [False] * n
     hits = [-1] * n
     v_caps = [None] * n
 
     for i in range(n):
-        if state.wait_remaining[i] > 0:
-            state.wait_remaining[i] -= 1
-            v_caps[i] = z.segment_velocity(reps_before[i])
+        p = reps[i]
+        k = bisect_right(positions, p)
+        v_caps[i] = v = speed[k]
+        if waiting[i] > 0:
+            waiting[i] -= 1
             blocked[i] = True
             continue
-        w, r, kind, j_obs, vcap = _candidate(state, z, i)
-        v_caps[i] = vcap
-        if w == 0 and r == reps_before[i]:
+        w, r, obstacle = ahead_laps[k], ahead[k], True
+        gw, gr = next_laps[i] - laps[i], next_reps[i]
+        if gw < w or (gw == w and gr < r):
+            w, r, obstacle = gw, gr, False
+        sw, sr = 0, p + v
+        if length is not None and sr >= length:
+            sw, sr = 1, sr - length
+        if sw < w or (sw == w and sr < r):
+            w, r, obstacle = sw, sr, False
+        if w == 0 and r == p:
             blocked[i] = True
             continue
         new_reps[i] = r
         new_laps[i] += w
-        if kind == _OBSTACLE:
-            hits[i] = j_obs
-            state.wait_remaining[i] = z.waits[j_obs]
+        if obstacle:
+            hits[i] = j = land[k] - 1
+            waiting[i] = waits[j]
 
-    state.reps = new_reps
-    state.laps = new_laps
-    if ring:
-        disp = tuple(
-            (new_laps[i] - laps_before[i]) * length + new_reps[i] - reps_before[i]
-            for i in range(n)
-        )
-    else:
-        disp = tuple(new_reps[i] - reps_before[i] for i in range(n))
     report = StepReport(
         state.time,
-        reps_before,
-        laps_before,
+        tuple(reps),
+        tuple(laps),
         tuple(new_reps),
         tuple(new_laps),
-        disp,
+        length,
         tuple(blocked),
         tuple(hits),
         tuple(v_caps),
     )
+    state.reps = new_reps
+    state.laps = new_laps
     state.time += 1
     return report
 
@@ -200,13 +187,7 @@ def local_velocity(state: SimState, z: ObstacleField, i: int) -> Scalar:
     """What step would move particle i right now, without moving anything."""
     if not 0 <= i < state.count:
         raise IndexError(f"particle index {i} out of range 0..{state.count - 1}")
-    p = state.reps[i]
-    if state.wait_remaining[i] > 0:
-        return p - p
-    w, r, _, _, _ = _candidate(state, z, i)
-    if isinstance(state.domain, Ring):
-        return w * state.domain.length + r - p
-    return r - p
+    return step(state, z)[1].displacements[i]
 
 
 def default_intervals(domain: Domain) -> tuple:
@@ -607,7 +588,7 @@ class _Unscale:
             r.laps_before,
             self(r.reps_after),
             r.laps_after,
-            self(r.displacements),
+            None if r.length is None else Fraction(r.length, self.scale),
             r.blocked,
             r.hits,
             self(r.v_caps),

@@ -107,6 +107,27 @@ def test_simulate_writes_trajectory_and_summary(tmp_path):
     assert summary["invariant_violations"] is None
 
 
+def test_simulate_on_an_open_line_with_obstacles(tmp_path):
+    # the default line has no end, so its field cannot be extended; only a
+    # ring gets a predicted velocity, so none is asked for
+    cfg = write_config(
+        tmp_path,
+        {
+            "domain": {"kind": "line", "start": "0"},
+            "obstacles": {"positions": ["2", "5", "9"], "velocities": ["1", "1/2", "1"], "top_speed": "1"},
+            "particles": {"positions": ["0", "1", "3/2"]},
+            "steps": 10,
+        },
+    )
+    out = tmp_path / "line"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["V_predicted"] is None
+    assert summary["phase"] is None
+    _, rows = read_csv(out / "trajectory.csv")
+    assert len(rows) == 10 * 3
+
+
 def test_simulate_zero_steps_degenerate(tmp_path):
     cfg = write_config(tmp_path, {**RING_CFG, "steps": 0})
     out = tmp_path / "run0"

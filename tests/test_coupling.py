@@ -21,6 +21,7 @@ from contasep import (
     run_coupled,
 )
 from contasep.core import INFINITY
+from contasep.coupling import _ranks
 from contasep.dynamics import _step_scalar
 
 F = Fraction
@@ -109,6 +110,59 @@ def test_detect_no_crossings_no_events():
     state = coupled((0,), (5,), z)
     prev, state = advance(state)
     assert detect_overtakes(prev, state) == []
+
+
+def carried_detect(prev, state, ranks_before):
+    """detect_overtakes as run_coupled calls it; returns (events, ranks after)."""
+    period = state.z.domain.length
+    u_prev = (prev.x.unwrapped(), prev.xbar.unwrapped())
+    u = (state.x.unwrapped(), state.xbar.unwrapped())
+    after = (_ranks(u[0], u[1], period), _ranks(u[1], u[0], period))
+    events = detect_overtakes(
+        prev,
+        state,
+        unwrapped=(u_prev[0], u[0], u_prev[1], u[1]),
+        ranks=(ranks_before[0], after[0], ranks_before[1], after[1]),
+    )
+    return events, after
+
+
+def test_carried_ranks_give_the_events_computed_alone():
+    # run_coupled bisects each position once per step and carries the ranks
+    # into the next step; the events must be those detect_overtakes finds alone
+    rng = random.Random(11)
+    seam_movers = outside = 0
+    for _ in range(40):
+        length = rng.randint(3, 10)
+        ring = Ring(length)
+        zpos = sorted(rng.sample([F(p, 2) for p in range(2 * length)], rng.randint(0, 4)))
+        speeds = [rng.choice((F(1, 2), 1, F(3, 2))) for _ in zpos]
+        z = make_field(zpos, ring, velocities=speeds, top=F(3, 2))
+        n = rng.randint(1, 6)
+        x_pos, xbar_pos = ([F(rng.randrange(4 * length), 4) for _ in range(n)] for _ in "xb")
+        state = coupled(x_pos, xbar_pos, z, domain=ring)
+        u = (state.x.unwrapped(), state.xbar.unwrapped())
+        ranks = (_ranks(u[0], u[1], length), _ranks(u[1], u[0], length))
+        for _ in range(30):
+            prev, state = advance(state)
+            events, ranks = carried_detect(prev, state, ranks)
+            assert events == detect_overtakes(prev, state)
+            for ev in events:
+                before, after = (prev.x, state.x) if ev.side == "x" else (prev.xbar, state.xbar)
+                seam_movers += before.laps[ev.mover] != after.laps[ev.mover]
+                outside += not all(0 <= m < n for m in ev.overtaken)
+    assert seam_movers and outside
+
+
+def test_a_mover_sweeping_more_than_a_lap_is_refused():
+    ring = Ring(4)
+    prev = coupled((0,), (2,), ObstacleField.empty(ring, 1), domain=ring)
+    state = prev.copy()
+    state.x.reps, state.x.laps, state.time = [1], [2], 1
+    ranks = (_ranks((0,), (2,), 4), _ranks((2,), (0,), 4))
+    for detect in (lambda: detect_overtakes(prev, state), lambda: carried_detect(prev, state, ranks)):
+        with pytest.raises(InvariantViolationError, match="mover 0 swept more than one full lap"):
+            detect()
 
 
 def test_pair_born_at_shared_obstacle():

@@ -5,6 +5,7 @@ denominators. These tests replay the same inputs through the public
 one-step functions on Fractions and require identical states, snapshots,
 observer reports, coupling rows, pairings and error messages.
 """
+import random
 import re
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from contasep import (
 )
 from contasep.core import INFINITY, to_lattice
 from contasep.dynamics import default_intervals
+from contasep.scenarios import poisson_obstacles
 
 F = Fraction
 SPEEDS = (F(1, 2), F(1), F(3, 2))
@@ -248,6 +250,30 @@ def test_run_coupled_matches_fraction_loop(case, steps, data):
     assert diag.final_state.x.unwrapped() == state.x.unwrapped()
     assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
     assert diag.final_state.z is z
+
+
+def test_run_coupled_matches_fraction_loop_on_criterion_10():
+    # README's criterion-10 config (37 obstacles, 50+50 particles) at the
+    # benchmark's scale: many events per step, pairs born and re-dealt, and
+    # the defect count settled at 1+1 well before the end
+    ring = Ring(100)
+    z = poisson_obstacles(ring, 0.35, seed=13, quantize=100, velocity=4)
+
+    def draw(seed):
+        rng = random.Random(seed)
+        return ParticleConfig.from_iterable(
+            (F(round(rng.uniform(0.0, 100.0) * 100), 100) % 100 for _ in range(50)), ring
+        )
+
+    x, xbar = draw(21), draw(22)
+    rows, state, violations = coupled_oracle(x, xbar, z, 300)
+    assert violations is None
+    diag = run_coupled(x, xbar, z, 300)
+    assert diag.rows == rows
+    assert rows[-1][1:4] == (1, 1, 49)
+    assert diag.final_state.pairing == state.pairing
+    assert diag.final_state.x.unwrapped() == state.x.unwrapped()
+    assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
 
 
 def test_coupling_error_dump_in_input_units():
