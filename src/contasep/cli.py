@@ -527,6 +527,7 @@ def cmd_couple(cfg: ExperimentConfig) -> int:
             "initial_defects": diag.initial_defects,
             "final_defects": diag.final_defects,
             "final_pairs": diag.final_state.pair_count,
+            "cycle": diag.cycle,
             "steps": cfg.steps,
             "threshold": cfg.defect_threshold,
         },

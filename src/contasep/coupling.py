@@ -68,6 +68,13 @@ class CoupledState:
     def copy(self) -> "CoupledState":
         return CoupledState(self.x.copy(), self.xbar.copy(), self.z, dict(self.pairing), self.time)
 
+    def _with(self, **changes) -> "CoupledState":
+        """This state with some fields replaced, shared otherwise, and the
+        pairing not checked again: callers pass one they keep one-to-one."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **changes)
+        return out
+
 
 @dataclass
 class OvertakeEvent:
@@ -106,15 +113,6 @@ def _ext_pos(arr, m, period):
     return arr[j] + k * period
 
 
-def _ext_bisect(arr, val, period, bisect=bisect_right):
-    """bisect (left or right) against arr extended by all period shifts; index may leave [0, n)."""
-    if period is None:
-        return bisect(arr, val)
-    # pick the shift that puts val inside one period window starting at arr[0]
-    k = (val - arr[0]) // period
-    return int(k) * len(arr) + bisect(arr, val - k * period)
-
-
 def _offset(a, b, period):
     """b - a on a line; on a ring the signed short way round, a half-period tie forward."""
     d = b - a
@@ -126,13 +124,25 @@ def _offset(a, b, period):
 
 
 def _ranks(u_mine, u_other, period) -> list:
-    """Each particle's rank among the other side's extended positions: how many
-    are at or below it, as an extended index (see detect_overtakes).
+    """Each value's rank among u_other extended by all period shifts: how many
+    copies are at or below it, as an extended index (see detect_overtakes).
 
-    A mover passed the copies indexed from its rank before a step to one below
-    its rank after.
+    u_other is one lap of a side in order, so on a ring its last entry is at
+    most one period past its first. A mover passed the copies indexed from
+    its rank before a step to one below its rank after.
     """
-    return [_ext_bisect(u_other, u, period) for u in u_mine]
+    if period is None or not u_mine or not u_other:
+        return [bisect_right(u_other, u) for u in u_mine]
+    # the laps of u_other that hold u_mine's values, laid end to end: one
+    # bisect per value then counts every lap below its own
+    base = u_other[0]
+    first = int((min(u_mine) - base) // period)
+    last = int((max(u_mine) - base) // period)
+    copies = []
+    for k in range(first, last + 1):
+        copies += [v + k * period for v in u_other] if k else u_other
+    below = first * len(u_other)
+    return [below + bisect_right(copies, u) for u in u_mine]
 
 
 def _side_events(side, mover_prev, mover_next, rank_prev, rank_next, n_other):
@@ -216,7 +226,11 @@ def detect_overtakes(
 
 
 def apply_pairing(
-    state: CoupledState, events: list, *, unwrapped: Optional[tuple] = None
+    state: CoupledState,
+    events: list,
+    *,
+    unwrapped: Optional[tuple] = None,
+    inverse: Optional[dict] = None,
 ) -> CoupledState:
     """Run the pairing rules over the events, in order, against the live pairing.
 
@@ -233,12 +247,19 @@ def apply_pairing(
     the particles that leave the stack first.
 
     unwrapped, if given, is the state's unwrapped positions (x, xbar), which
-    the function otherwise computes.
+    the function otherwise computes. inverse, if given, is the state's pairing
+    inverted (second-process index to first); it is updated in place to the
+    result's, so a run carries one inverse from step to step. The input state
+    is left as it was; with no events and no stack on either side it is
+    returned.
     """
-    fwd = dict(state.pairing)
-    inv = {j: i for i, j in fwd.items()}
     u_x, u_b = unwrapped or (state.x.unwrapped(), state.xbar.unwrapped())
     period = state.z.domain.length if isinstance(state.z.domain, Ring) else None
+    depths_x, depths_b = _stack_depths(u_x, period), _stack_depths(u_b, period)
+    if not events and not any(depths_x) and not any(depths_b):
+        return state
+    fwd = dict(state.pairing)
+    inv = {j: i for i, j in fwd.items()} if inverse is None else inverse
 
     for ev in events:
         if ev.side == "x":
@@ -283,13 +304,16 @@ def apply_pairing(
             mine[i] = target % n
             theirs[target % n] = i
 
-    _order_stacked_pairs(fwd, inv, u_x, u_b, period)
-    _order_stacked_pairs(inv, fwd, u_b, u_x, period)
+    _order_stacked_pairs(fwd, inv, u_x, u_b, depths_x, depths_b, period)
+    _order_stacked_pairs(inv, fwd, u_b, u_x, depths_b, depths_x, period)
 
+    if len(inv) != len(fwd):
+        raise InvariantViolationError("pairing maps fell out of sync")
     for i, j in fwd.items():
         if inv.get(j) != i:
             raise InvariantViolationError("pairing maps fell out of sync")
-    return CoupledState(state.x, state.xbar, state.z, fwd, state.time)
+    # maps in sync make the pairing one-to-one, so it is not checked again
+    return state._with(pairing=fwd)
 
 
 def _stack_depths(u, period):
@@ -314,7 +338,7 @@ def _stack_depths(u, period):
     return depths
 
 
-def _order_stacked_pairs(mine, theirs, u_mine, u_theirs, period):
+def _order_stacked_pairs(mine, theirs, u_mine, u_theirs, depths, theirs_depths, period):
     """Hand the pairs of each stack to the particles that leave it first.
 
     Particles of one side that share a position are interchangeable at that
@@ -324,21 +348,18 @@ def _order_stacked_pairs(mine, theirs, u_mine, u_theirs, period):
     tail. The positions of pairs and defects are unchanged, so properness is
     too. Without this, a stack's leader may leave while its partner waits, or
     a paired follower waits while a defect leader moves into the pair's span.
+    depths and theirs_depths are the two sides' _stack_depths.
     """
     n = len(u_mine)
-    depths = _stack_depths(u_mine, period)
     stacks = {}
     for i, d in enumerate(depths):
         if d:
             stacks.setdefault((i + d) % n, []).append(i)
-    theirs_depths = None
     for leader, followers in stacks.items():
         members = [leader] + sorted(followers, key=depths.__getitem__)
         partners = [mine.pop(i) for i in members if i in mine]
         if not partners:
             continue
-        if theirs_depths is None:
-            theirs_depths = _stack_depths(u_theirs, period)
         base = u_mine[leader]
 
         def lead(j):
@@ -388,12 +409,14 @@ def is_proper(state: CoupledState) -> list:
             out.append(f"pair ({i},{j}): obstacle strictly inside span")
         if defects is None:
             defects = sorted([r_x[d] for d in state.defects_x()] + [r_b[d] for d in state.defects_xbar()])
-        if defects:
-            inside = _ext_bisect(defects, lo + width, period, bisect_left) - _ext_bisect(
-                defects, lo, period
-            )
-            if inside > 0:
-                out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
+            if period is not None:
+                # a span starts in [0, L) and is at most half a period wide, so
+                # two laps of defects hold all it can reach; lower laps, below
+                # every span, cancel out of the count
+                defects += [d + period for d in defects]
+        inside = bisect_left(defects, lo + width) - bisect_right(defects, lo)
+        if inside > 0:
+            out.append(f"pair ({i},{j}): {inside} defect(s) strictly inside span")
 
     # walked in x order; on a ring (x taken in [0, L)) each pair also meets
     # the pairs one period on, and since a partner is within half a period
@@ -424,6 +447,9 @@ class CouplingDiagnostics:
 
     rows: (t, defects_x, defects_xbar, pairs, v_gap_abs, proper_flag) where
     v_gap_abs is |displacement difference of particle 0| up to time t.
+    cycle: (mu, lam) when the coupled state at mu + lam repeated the one at mu
+    up to a common whole-lap shift, the first repeat of the run; every later
+    state then repeats with period lam. None if the run ended before one.
     """
 
     rows: list
@@ -431,6 +457,7 @@ class CouplingDiagnostics:
     initial_defects: int
     final_defects: int
     final_state: CoupledState
+    cycle: Optional[tuple] = None
 
     @property
     def nearly_successful(self) -> bool:
@@ -452,6 +479,15 @@ def run_coupled(
     Input must be exact (ints and Fractions): it is stepped, paired and
     checked as integers on its lattice (see to_lattice); rows, the final
     state and the dump are in input units.
+
+    On the lattice the coupled state up to a common whole-lap shift takes
+    finitely many values, so every run turns periodic. Each state is kept as
+    a _cycle_key in a dict, which matches keys by equality, never by hash
+    alone; at the first repeat the run stops stepping. Every later
+    state repeats one already stepped and checked, so the remaining rows are
+    the period's rows renumbered (both sides gain the same laps, so v_gap_abs
+    repeats too), and the final state is the period's state at the same
+    phase, moved on by whole laps.
     """
     if not isinstance(x.domain, Ring):
         raise ConfigurationError("coupled runs require a ring domain")
@@ -475,19 +511,22 @@ def run_coupled(
     u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
     r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
     start_x, start_b = u_x[0], u_b[0]
+    inverse = {}
     rows = []
+    # per step from t=0: its key's step, and the laps of x's particle 0
+    seen = {_cycle_key(state, u_x, u_b, period): 0}
+    laps0 = [state.x.laps[0]]
+    cycle = None
 
     for t in range(1, steps + 1):
-        prev, prev_x, prev_b, prev_rx, prev_rb = state.copy(), u_x, u_b, r_x, r_b
-        _step_scalar(state.x, z_work)
-        _step_scalar(state.xbar, z_work)
-        state.time = t
+        prev, prev_x, prev_b, prev_rx, prev_rb = state, u_x, u_b, r_x, r_b
+        state = prev._with(x=_moved(prev.x, z_work), xbar=_moved(prev.xbar, z_work), time=t)
         u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
         r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
         events = detect_overtakes(
             prev, state, unwrapped=(prev_x, u_x, prev_b, u_b), ranks=(prev_rx, r_x, prev_rb, r_b)
         )
-        state = apply_pairing(state, events, unwrapped=(u_x, u_b))
+        state = apply_pairing(state, events, unwrapped=(u_x, u_b), inverse=inverse)
 
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
@@ -506,6 +545,21 @@ def run_coupled(
             )
         rows.append((t, d_x, d_b, state.pair_count, v_gap_abs, 1))
 
+        mu = seen.setdefault(_cycle_key(state, u_x, u_b, period), t)
+        if mu != t:
+            cycle = (mu, t - mu)
+            break
+        laps0.append(state.x.laps[0])
+
+    if cycle is not None and t < steps:
+        mu, lam = cycle
+        for s in range(t + 1, steps + 1):
+            rows.append((s, *rows[s - lam - 1][1:]))
+        periods, phase = divmod(steps - mu, lam)
+        key = list(seen)[mu + phase]
+        shift = laps0[mu + phase] + periods * (state.x.laps[0] - laps0[mu])
+        state = _from_cycle_key(key, shift * period, steps, z_work)
+
     final_defects = rows[-1][1] + rows[-1][2] if rows else initial_defects
     verdict = (
         "nearly successful"
@@ -513,8 +567,44 @@ def run_coupled(
         else "defects persist"
     )
     return CouplingDiagnostics(
-        rows, verdict, initial_defects, final_defects, _in_input_units(state, z, scale)
+        rows, verdict, initial_defects, final_defects, _in_input_units(state, z, scale), cycle
     )
+
+
+def _moved(side: SimState, z: ObstacleField) -> SimState:
+    """side one step on as a new state, side left as it was: a step replaces
+    reps and laps, so only the countdowns are copied."""
+    out = SimState(side.reps, side.laps, list(side.wait_remaining), side.time, side.domain)
+    _step_scalar(out, z)
+    return out
+
+
+def _cycle_key(state: CoupledState, u_x: tuple, u_b: tuple, period) -> tuple:
+    """A lattice coupled state up to a common whole-lap shift, as one flat
+    tuple: both sides' unwrapped positions less x's particle 0's whole laps,
+    both sides' countdowns and x's partners (None for a defect). Two states
+    with equal keys evolve alike, up to that shift."""
+    base = state.x.laps[0] * period
+    return (
+        *[u - base for u in u_x],
+        *[u - base for u in u_b],
+        *state.x.wait_remaining,
+        *state.xbar.wait_remaining,
+        *map(state.pairing.get, range(len(u_x))),
+    )
+
+
+def _from_cycle_key(key: tuple, shift, time: int, z: ObstacleField) -> CoupledState:
+    """The state a _cycle_key records, moved on by shift (whole laps), at time."""
+    n = len(key) // 5
+    period = z.domain.length
+
+    def side(part, waits) -> SimState:
+        laps, reps = zip(*(divmod(u + shift, period) for u in key[part * n : (part + 1) * n]))
+        return SimState(list(reps), list(laps), list(key[waits * n : (waits + 1) * n]), time, z.domain)
+
+    pairing = {i: j for i, j in enumerate(key[4 * n :]) if j is not None}
+    return CoupledState(side(0, 2), side(1, 3), z, pairing, time)
 
 
 def _in_input_units(state: CoupledState, z: ObstacleField, scale: int) -> CoupledState:

@@ -111,7 +111,9 @@ class StepReport:
 
 
 def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
-    """One step of every particle, in place.
+    """One step of every particle, in place: reps and laps are bound to new
+    lists and wait_remaining is updated, so another state sharing the old
+    reps and laps lists keeps them.
 
     Each particle's candidates, the next obstacle strictly ahead, its
     neighbour's old position and p + its segment speed, are compared as

@@ -290,18 +290,26 @@ def test_criterion_10_coupling_diagnostics():
     bound = 5 * 4 / steps * 10
     balanced = all(row[1] == row[2] for row in diag.rows)
     proper = all(row[5] == 1 for row in diag.rows)
+    # the coupled state at t=98 repeats that of t=48 up to whole laps, so the
+    # run is periodic from t=48; 1+1 defects on every step of the period make
+    # the final count exact for every later step, not only up to step 10^4
+    mu, lam = diag.cycle
+    period_defects = {row[1:3] for row in diag.rows[mu : mu + lam]}
     ok = (
         diag.nearly_successful
         and diag.final_defects < 0.1 * diag.initial_defects
         and balanced
         and proper
         and final_gap < bound
+        and diag.cycle == (48, 50)
+        and period_defects == {(1, 1)}
     )
     report(
         "criterion 10 coupling diagnostics",
         ok,
         f"defects {diag.initial_defects} -> {diag.final_defects}, "
-        f"velocity gap {float(final_gap):.6f} < {bound}, proper throughout",
+        f"velocity gap {float(final_gap):.6f} < {bound}, proper throughout, "
+        f"periodic from t={mu} with period {lam}, defects {period_defects} on the period",
     )
 
 

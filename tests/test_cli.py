@@ -327,6 +327,10 @@ def test_couple_series_and_verdict(tmp_path):
     summary = json.loads((out / "couple_summary.json").read_text())
     assert summary["initial_defects"] == 12
     assert summary["verdict"] in ("nearly successful", "defects persist")
+    # the state at t=17 repeats that of t=5, and the rows after it the period's
+    mu, lam = summary["cycle"]
+    assert (mu, lam) == (5, 12)
+    assert all(rows[i][1:] == rows[i - lam][1:] for i in range(mu + lam, len(rows)))
 
 
 def test_zero_range_occupancy_series(tmp_path):

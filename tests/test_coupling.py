@@ -154,6 +154,27 @@ def test_carried_ranks_give_the_events_computed_alone():
     assert seam_movers and outside
 
 
+def test_ranks_count_the_extended_copies():
+    # against a count over the copies of u_other on laps -4..4: one side of a
+    # ring in order (ties and a stack across the seam included), values on up
+    # to three laps
+    rng = random.Random(12)
+    length = 6
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        reps = sorted(F(rng.randrange(4 * length), 4) for _ in range(n))
+        lap = rng.randint(-1, 1)
+        u_other = [lap * length + r for r in reps]
+        if rng.random() < 0.2:
+            u_other[-1] = u_other[0] + length
+        values = [F(rng.randrange(-4 * length, 8 * length), 4) for _ in range(rng.randint(1, 6))]
+        want = [
+            1 + max(k * n + j for k in range(-4, 5) for j, v in enumerate(u_other) if v + k * length <= u)
+            for u in values
+        ]
+        assert _ranks(values, u_other, length) == want
+
+
 def test_a_mover_sweeping_more_than_a_lap_is_refused():
     ring = Ring(4)
     prev = coupled((0,), (2,), ObstacleField.empty(ring, 1), domain=ring)
@@ -182,6 +203,7 @@ def test_apply_without_events_is_identity():
     state = coupled((0, 2), (1, 3), z, pairing={1: 1})
     out = apply_pairing(state, [])
     assert out.pairing == {1: 1}
+    assert out is state
 
 
 def test_strict_overtake_transports_defect_right():
@@ -276,6 +298,17 @@ def test_proper_pair_straddling_ring_seam():
     violations = is_proper(bad)
     assert len(violations) == 1
     assert "obstacle" in violations[0]
+
+
+def test_proper_counts_defects_across_the_ring_seam():
+    # the span (49/5, 101/10) crosses the seam: x's defects at 99/10 and at 0
+    # (10 one lap on) are inside, xbar's defect at the far end 1/10 is not
+    ring = Ring(10)
+    state = coupled(
+        (0, F(49, 5), F(99, 10)), (F(1, 10), F(1, 10)), ObstacleField.empty(ring, 1),
+        pairing={1: 0}, domain=ring,
+    )
+    assert is_proper(state) == ["pair (1,0): 2 defect(s) strictly inside span"]
 
 
 def test_proper_on_a_ring_shorter_than_the_crossing_window():

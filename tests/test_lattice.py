@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from contasep import (
@@ -230,13 +230,50 @@ def assert_dump_matches(exc, state, violations):
     assert dump["pairing"] == state.pairing
 
 
-@settings(max_examples=60)
-@given(ring_cases(max_size=5), st.integers(1, 40), st.data())
-def test_run_coupled_matches_fraction_loop(case, steps, data):
-    x, z = case
+def thirds(ring, picks):
+    return ParticleConfig.from_iterable((F(p, 3) for p in picks), ring)
+
+
+@st.composite
+def coupled_cases(draw):
+    x, z = draw(ring_cases(max_size=5))
     width = int(x.domain.length)
-    picks = data.draw(st.lists(st.integers(0, 3 * width - 1), min_size=x.count, max_size=x.count))
-    xbar = ParticleConfig.from_iterable((F(p, 3) for p in picks), x.domain)
+    picks = draw(st.lists(st.integers(0, 3 * width - 1), min_size=x.count, max_size=x.count))
+    return x, thirds(x.domain, picks), z
+
+
+# A waited field whose coupled state first repeats at t=31 that of t=6: the
+# run stops stepping there and replays the 25-step period.
+REPEATING_RING = Ring(F(17, 2))
+REPEATING = (
+    thirds(REPEATING_RING, (14, 0, 13, 15)),
+    thirds(REPEATING_RING, (17, 14, 16, 20)),
+    ObstacleField(
+        (F(3, 4), 1, F(11, 4), 7), (2, 2, 1, 1), (F(3, 2), F(1, 2), F(1, 2), F(1, 2)), F(3, 2), REPEATING_RING
+    ),
+)
+# run lengths ending before the first repeat, at it, and mid-period five periods on
+BEFORE, AT, MID_PERIOD = 30, 31, 150
+
+
+def test_pinned_runs_end_before_at_and_after_the_first_repeat():
+    x, xbar, z = REPEATING
+    mu, lam = 6, 25
+    assert run_coupled(x, xbar, z, BEFORE).cycle is None
+    assert run_coupled(x, xbar, z, AT).cycle == (mu, lam) and AT == mu + lam
+    assert run_coupled(x, xbar, z, MID_PERIOD).cycle == (mu, lam)
+    assert MID_PERIOD > mu + lam and (MID_PERIOD - mu) % lam
+
+
+@settings(max_examples=60)
+@given(coupled_cases(), st.integers(1, 150))
+@example(REPEATING, BEFORE)
+@example(REPEATING, AT)
+@example(REPEATING, MID_PERIOD)
+def test_run_coupled_matches_fraction_loop(case, steps):
+    # past the first repeat the run replays its period, so runs of up to 150
+    # steps check the replayed rows and final state against stepping them
+    x, xbar, z = case
     rows, state, violations = coupled_oracle(x, xbar, z, steps)
     if violations:
         with pytest.raises(CouplingError) as exc:
@@ -250,6 +287,24 @@ def test_run_coupled_matches_fraction_loop(case, steps, data):
     assert diag.final_state.x.unwrapped() == state.x.unwrapped()
     assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
     assert diag.final_state.z is z
+
+
+def test_two_particle_cycle_worked_by_hand():
+    # one particle a side on a ring of length 2 with one obstacle at 0 of
+    # speed 1. x goes 0, 1, 2 (the obstacle one lap on), ... and xbar goes
+    # 1/2, 3/2, then stops at the obstacle, 2, where x meets it at t=2 and
+    # pairs with it. From then both take one step of 1 per step, so the state
+    # at t=4 is that of t=2 one lap on: cycle (2, 2)
+    ring = Ring(2)
+    z = ObstacleField((0,), (0,), (1,), 1, ring)
+    x, xbar = ParticleConfig((0,), ring), ParticleConfig((F(1, 2),), ring)
+    for steps in (3, 4, 9):
+        diag = run_coupled(x, xbar, z, steps)
+        assert diag.cycle == (None if steps < 4 else (2, 2))
+        assert diag.rows == [(1, 1, 1, 0, 0, 1)] + [(t, 0, 0, 1, F(1, 2), 1) for t in range(2, steps + 1)]
+        assert diag.final_state.x.unwrapped() == diag.final_state.xbar.unwrapped() == (steps,)
+        assert diag.final_state.x.laps == [steps // 2]
+        assert diag.final_state.pairing == {0: 0}
 
 
 def test_run_coupled_matches_fraction_loop_on_criterion_10():
