@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -293,12 +294,20 @@ class TrajectorySummary:
     """Result of a run: snapshots of unwrapped positions keyed by time.
 
     invariant_violations is None where the scalar engine ran: it checks nothing.
+    cycle is (lam, s, G) when the vectorized kernel found the state of a ring
+    run repeating with period lam: each particle i then stands, lam steps
+    on, where particle i + s stood, G laps further, the index read cyclically
+    and one lap on past the last particle. So over a period n particles move
+    (s + n * G) * L in total, and (s + n * G) * L / (n * lam) is the run's
+    exact long-run mean velocity. cycle is None when the run never repeated
+    or the scalar engine ran.
     """
 
     steps: int
     snapshots: dict
     final_state: SimState
     invariant_violations: int | None = None
+    cycle: tuple | None = None
 
     def displacement(self, i: int, t: int) -> Scalar:
         if t not in self.snapshots:
@@ -334,7 +343,7 @@ def _fast_eligible(state: SimState, z: ObstacleField) -> bool:
 
 
 def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -> tuple:
-    """Vectorized float kernel for wait-free fields; returns (snapshots, violations).
+    """Vectorized float kernel for wait-free fields; returns (snapshots, violations, cycles).
 
     Every replica shares the first one's domain and the field z; their
     particles sit in one flat array, replica after replica. Each particle's
@@ -358,6 +367,13 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     Each step searches again only the particles that left their bin. When
     two or more did, it counts each interval's change from those movers' old
     and new bins; one mover changes any count by at most 1.
+
+    On a ring, each replica's state is watched for a repeat up to a
+    relabelling of its particles (see _Replay). Once every replica has
+    repeated and its states at the phases still to report are captured,
+    the batch stops stepping: the rest of the run is replayed exactly,
+    snapshots, final state and invariant counts alike. It returns each
+    replica's cycle too, or None.
     """
     # imported here so that exact runs, which never reach this kernel, start without numpy
     import numpy as np
@@ -414,8 +430,15 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     if bounds:
         keys = key_base + edges.searchsorted(reps, "right")
         lo, hi = lo_of[keys], hi_of[keys]
+
+    def counts():
+        return np.add.reduceat(bad, first) + bad_intervals
+
+    # a line's leader gains ground every step, so a line's state never repeats
+    replay = _Replay(np, first, sizes, snapshot_at, reps, laps, w_gap, idx, counts) if ring else None
     if 0 in snapshot_at:
         snap(0)
+    stop = steps
     for t in range(steps):
         vcap = speed[idx]
         t_spd = reps + vcap
@@ -434,11 +457,9 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
         disp = (w_best * period + r_best) - reps
         new_laps = laps + w_best
         w_gap = new_laps[nxt] - new_laps
-        r_gap = r_best[nxt]
-        gap_after = w_gap * period + r_gap - r_best
-        gap_after[last] += period
-        tally(gap_after < -_FLOAT_TOL)
         w_gap[last] += 1
+        r_gap = r_best[nxt]
+        tally(w_gap * period + r_gap - r_best < -_FLOAT_TOL)
         # A displacement in [0, cap] rules out the other per-particle faults
         # too: a target past the next obstacle needs a NaN position.
         if np.count_nonzero((disp >= -_FLOAT_TOL) & (disp <= vcap)) < n:
@@ -466,21 +487,143 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
         laps = new_laps
         if t + 1 in snapshot_at:
             snap(t + 1)
+        if replay is not None and replay.observe(t + 1, reps, laps, w_gap, idx):
+            stop = t + 1
+            break
 
+    if stop < steps:
+        # the last time replayed is steps, the final state
+        for t in sorted(snapshot_at):
+            if t > stop:
+                reps, laps, violations = replay.at(t)
+                snapshots[t] = laps * period + reps
+    else:
+        violations = counts()
     for s, a, b in zip(states, first, last + 1):
         s.reps = reps[a:b].tolist()
         s.laps = laps[a:b].tolist()
         s.time += steps
-    return snapshots, np.add.reduceat(bad, first) + bad_intervals
+    return snapshots, violations, replay.cycles if replay else [None] * len(states)
 
 
-def _summaries(batch: Replicas, steps: int, snapshots: dict, violations) -> Iterator:
+class _Replay:
+    """Brent's cycle detection (R. P. Brent, BIT 20, 1980) on each replica of
+    a ring batch of _run_fast, up to a relabelling of its particles.
+
+    A replica's state is, in cyclic order, each particle's rep, its w_gap
+    (one lap more past its last particle) and its table index: a step reads
+    nothing else, and it reads them the same way for every label. Let R
+    relabel a state by a cyclic shift s, particle i taking the place of
+    particle i + s, and move it on by G laps. A step then maps R of a state
+    to R of its step, invariant counts included. So when the state at t is
+    R of the state at c, each later state is R of the state lam = t - c
+    steps before it, and the state at t + q * lam + r is R^q of the state
+    at t + r.
+
+    Each replica keeps one checkpoint, a copy of its state that moves to
+    the live state at t = 1, 3, 7, 15, ...; each step compares the live
+    state with it, bit for bit, under every shift s that maps particle 0
+    onto a particle of the same state. Once the checkpoint lies in the
+    cycle and the interval since its move reaches lam, the first match
+    finds lam, the least period. A match needs equal XORs of the replica's
+    rep bit patterns, which no relabelling changes, so only replicas whose
+    XOR matches are compared in full.
+
+    A replica that repeats at t has the states at its reporting times
+    after t captured at phase (tau - t) mod lam, within lam - 1 steps.
+    observe() is True once every replica is captured; at() then gives the
+    batch at any later time.
+    """
+
+    def __init__(self, np, first, sizes, times, reps, laps, w_gap, idx, counts):
+        self.np = np
+        self.xor_at = np.bitwise_xor.reduceat
+        self.first = first
+        self.bounds = [(int(a), int(a + n)) for a, n in zip(first, sizes)]
+        self.times = sorted(times)
+        self.counts = counts
+        self.cycles = [None] * len(self.bounds)
+        # per replica: when it repeated, its count over one period, and its
+        # captured (reps, laps, count) by phase
+        self.found_at = [0] * len(self.bounds)
+        self.per_period = [0] * len(self.bounds)
+        self.phases = [{} for _ in self.bounds]
+        self.capture_at: dict = {}
+        self.open = len(self.bounds)
+        self.power = 1
+        # filled in place: a fresh array this size would fault its pages in each time
+        self.held = np.empty((3, reps.size), dtype=np.int64)
+        self.held_laps = np.empty_like(laps)
+        self._checkpoint(0, reps, laps, w_gap, idx)
+
+    def _checkpoint(self, t, reps, laps, w_gap, idx):
+        self.held_at = t
+        self.held[0], self.held[1], self.held[2] = reps.view(self.np.int64), w_gap, idx
+        self.held_laps[:] = laps
+        self.held_xor = self.xor_at(self.held[0], self.first).tolist()
+        self.held_counts = self.counts()
+
+    def observe(self, t, reps, laps, w_gap, idx) -> bool:
+        """Compare the state at t with the checkpoints and capture the phases due at t."""
+        if self.open:
+            # compared as Python ints, which on a small batch costs less than numpy calls
+            xors = self.xor_at(reps.view(self.np.int64), self.first).tolist()
+            if any(map(eq, xors, self.held_xor)):
+                for k, (xor, held) in enumerate(zip(xors, self.held_xor)):
+                    if xor == held and self.cycles[k] is None:
+                        self._match(k, t, reps, laps, w_gap, idx)
+            if t - self.held_at == self.power:
+                self._checkpoint(t, reps, laps, w_gap, idx)
+                self.power *= 2
+        for k in self.capture_at.pop(t, ()):
+            a, b = self.bounds[k]
+            self.phases[k][t - self.found_at[k]] = (reps[a:b].copy(), laps[a:b].copy(), int(self.counts()[k]))
+        return not self.open and not self.capture_at
+
+    def _match(self, k, t, reps, laps, w_gap, idx):
+        np = self.np
+        a, b = self.bounds[k]
+        n = b - a
+        live = np.stack((reps[a:b].view(np.int64), w_gap[a:b], idx[a:b]))
+        held = self.held[:, a:b]
+        for s in (held == live[:, :1]).all(axis=0).nonzero()[0].tolist():
+            if np.array_equal(live[:, : n - s], held[:, s:]) and np.array_equal(live[:, n - s :], held[:, :s]):
+                lam = t - self.held_at
+                self.cycles[k] = (lam, s, int(laps[a] - self.held_laps[a + s]))
+                self.found_at[k] = t
+                self.per_period[k] = int(self.counts()[k] - self.held_counts[k])
+                self.open -= 1
+                for r in sorted({(tau - t) % lam for tau in self.times if tau > t}):
+                    self.capture_at.setdefault(t + r, []).append(k)
+                return
+
+    def _replica_at(self, k, tau) -> tuple:
+        """Replica k's (reps, laps, count) at tau: R^q of its capture at phase r."""
+        np = self.np
+        lam, s, gain = self.cycles[k]
+        q, r = divmod(tau - self.found_at[k], lam)
+        reps, laps, count = self.phases[k][r]
+        # R^q shifts the labels by q * s: `turns` whole turns, each a lap on, and `shift` more
+        turns, shift = divmod(q * s, reps.size)
+        return (
+            np.concatenate((reps[shift:], reps[:shift])),
+            np.concatenate((laps[shift:], laps[:shift] + 1)) + (turns + q * gain),
+            count + q * self.per_period[k],
+        )
+
+    def at(self, tau) -> tuple:
+        """The batch's flat reps and laps at tau, and each replica's invariant count."""
+        reps, laps, counts = zip(*(self._replica_at(k, tau) for k in range(len(self.bounds))))
+        return self.np.concatenate(reps), self.np.concatenate(laps), counts
+
+
+def _summaries(batch: Replicas, steps: int, snapshots: dict, violations, cycles) -> Iterator:
     """One TrajectorySummary per replica of a _run_fast batch, built as it is reached."""
     start = 0
-    for state, count in zip(batch.states, violations):
+    for state, count, cycle in zip(batch.states, violations, cycles):
         stop = start + state.count
         yield TrajectorySummary(
-            steps, {t: tuple(u[start:stop].tolist()) for t, u in snapshots.items()}, state, int(count)
+            steps, {t: tuple(u[start:stop].tolist()) for t, u in snapshots.items()}, state, int(count), cycle
         )
         start = stop
 
@@ -495,9 +638,12 @@ def run(
     """Apply the step map repeatedly, mutating state through to the end.
 
     Snapshots of unwrapped positions are always taken at t=0 and t=steps,
-    plus any requested times (relative to the start of this run). When no
-    observers are attached and the input is float-valued with no waiting
-    times, the vectorized kernel is used; it produces bit-identical positions.
+    plus any requested times in [0, steps] (relative to the start of this
+    run). When no observers are attached and the input is float-valued with
+    no waiting times, the vectorized kernel is used; it produces
+    bit-identical positions. On a ring it stops stepping once the state
+    repeats up to a relabelling of the particles, and replays the rest of
+    the run exactly (TrajectorySummary.cycle).
     Exact input is stepped as integers on its lattice (see to_lattice);
     snapshots, observer reports and the final state come back in input
     units as Fractions.
@@ -511,6 +657,9 @@ def run(
         raise ConfigurationError("step count must be nonnegative")
     observers = tuple(observers)
     snapshot_at = {0, steps} | {int(t) for t in snapshot_times}
+    outside = sorted(t for t in snapshot_at if not 0 <= t <= steps)
+    if outside:
+        raise ConfigurationError(f"snapshot times {outside} outside the run's [0, {steps}]")
 
     if isinstance(state, Replicas):
         states = state.states

@@ -45,6 +45,16 @@ def rel_err(measured, target):
     return abs(measured - target) / abs(target)
 
 
+def cycle_velocity(traj):
+    """The exact long-run mean velocity (s + n G) L / (n lam) of a run's
+    cycle, or None if the run never repeated."""
+    if traj.cycle is None:
+        return None
+    lam, s, gain = traj.cycle
+    n = traj.final_state.count
+    return F(s + n * gain) * F(traj.final_state.domain.length) / (n * lam)
+
+
 @pytest.fixture(scope="module")
 def obstacle_ring_sweep():
     """Twenty densities in [0.1, 2.0] on a 600-ring with obstacles every 3."""
@@ -65,31 +75,33 @@ def obstacle_ring_sweep():
         state = SimState.initial(x)
         run(state, z, 1000)
         traj = run(state, z, 10_000)
-        rows.append((rho, velocity_estimate(traj).mean, traj.invariant_violations))
+        rows.append((rho, velocity_estimate(traj).mean, traj.invariant_violations, cycle_velocity(traj)))
     elapsed = time.perf_counter() - start
     return rows, elapsed
 
 
 def test_criterion_01_flow_law_on_obstacle_ring(obstacle_ring_sweep):
     rows, elapsed = obstacle_ring_sweep
-    worst = max(rel_err(v, float(predict_velocity(rho, 1))) for rho, v, _ in rows)
-    ok = worst <= 0.02 and elapsed < 60
+    worst = max(rel_err(v, float(predict_velocity(rho, 1))) for rho, v, _, _ in rows)
+    inexact = [str(rho) for rho, _, _, exact in rows if exact != predict_velocity(rho, 1)]
+    ok = worst <= 0.02 and elapsed < 60 and not inexact
     report(
         "criterion 1 fundamental diagram",
         ok,
-        f"20 densities, worst relative error {worst:.4%}, wall {elapsed:.1f}s",
+        f"20 densities, worst relative error {worst:.4%}, "
+        f"cycle velocity off the flow law at {inexact or 'none'}, wall {elapsed:.1f}s",
     )
 
 
 def test_criterion_02_phase_split(obstacle_ring_sweep):
     rows, _ = obstacle_ring_sweep
     bad = []
-    for rho, v, _ in rows:
+    for rho, v, _, exact in rows:
         phase = classify_phase(rho, 1)
         if rho <= 1:
-            good = phase == "gaseous" and rel_err(v, 1.0) <= 0.02
+            good = phase == "gaseous" and rel_err(v, 1.0) <= 0.02 and exact == 1
         else:
-            good = phase == "liquid" and rel_err(v, float(1 / rho)) <= 0.02
+            good = phase == "liquid" and rel_err(v, float(1 / rho)) <= 0.02 and exact == 1 / rho
         if not good:
             bad.append(str(rho))
     report(
@@ -100,7 +112,7 @@ def test_criterion_02_phase_split(obstacle_ring_sweep):
 
 
 def test_criterion_03_homogeneous_reduction():
-    results = []
+    results, exact = [], []
     for rho, count in ((F(1, 2), 100), (F(2), 400)):
         ring = Ring(200.0)
         x = ParticleConfig.equispaced(ring, count, 0.25)
@@ -109,13 +121,14 @@ def test_criterion_03_homogeneous_reduction():
         run(state, z, 1000)
         traj = run(state, z, 10_000)
         measured = velocity_estimate(traj).mean
-        target = float(predict_velocity(rho, None, F(3, 2)))
-        results.append(rel_err(measured, target))
-    ok = max(results) <= 0.02
+        target = predict_velocity(rho, None, F(3, 2))
+        results.append(rel_err(measured, float(target)))
+        exact.append(cycle_velocity(traj) == target)
+    ok = max(results) <= 0.02 and all(exact)
     report(
         "criterion 3 homogeneous reduction",
         ok,
-        f"speed-capped ring, errors {[f'{e:.4%}' for e in results]}",
+        f"speed-capped ring, errors {[f'{e:.4%}' for e in results]}, cycle velocity exact {exact}",
     )
 
 
@@ -224,7 +237,7 @@ def test_criterion_08_mixed_speeds_and_waits():
 
 def test_criterion_09_step_invariants_everywhere(obstacle_ring_sweep):
     rows, _ = obstacle_ring_sweep
-    fast_violations = sum(v for _, _, v in rows)
+    fast_violations = sum(v for _, _, v, _ in rows)
 
     audited = 0
     ring = Ring(24)

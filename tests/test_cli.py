@@ -245,7 +245,12 @@ def test_fast_sweep_on_a_waited_field_runs_the_scalar_engine_unchecked(tmp_path,
 
 def one_violation_per_replica(real):
     """A _run_fast that reports one invariant violation for each replica of each call."""
-    return lambda batch, *rest: (real(batch, *rest)[0], [1] * len(batch.states))
+
+    def fake(batch, *rest):
+        snapshots, _, cycles = real(batch, *rest)
+        return snapshots, [1] * len(batch.states), cycles
+
+    return fake
 
 
 def test_fd_sweep_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):

@@ -23,6 +23,7 @@ from contasep import (
     step,
     velocity_estimate,
 )
+from contasep import dynamics
 from contasep.core import INFINITY
 
 F = Fraction
@@ -219,6 +220,36 @@ def test_fast_path_counts_violations_like_the_checker():
     slow = run(broken(), z, 1, observers=(checker,))
     assert fast.final_state.reps == slow.final_state.reps == [6.2, 0.5, 0.7, 1.7]
     assert fast.invariant_violations == len(checker.violations) == 2
+
+    # Over 100 steps the state sorts itself out after two steps and repeats,
+    # a lap on, every 8 steps. The kernel stops stepping once it is sure of
+    # that, and must still end where 100 one-step runs and the scalar
+    # engine end, with their violation count.
+    fast = run(broken(), z, 100, snapshot_times=(50,))
+    stepped, count = broken(), 0
+    for t in range(100):
+        one = run(stepped, z, 1)
+        count += one.invariant_violations
+        if t + 1 == 50:
+            assert fast.snapshots[50] == one.snapshots[1]
+    checker = InvariantChecker(z)
+    slow = run(broken(), z, 100, observers=(checker,))
+    assert fast.cycle == (8, 0, 1)
+    assert fast.final_state.reps == stepped.reps == slow.final_state.reps
+    assert fast.final_state.laps == stepped.laps == slow.final_state.laps
+    assert fast.snapshots[100] == slow.snapshots[100]
+    assert fast.invariant_violations == count == len(checker.violations) == 3
+
+
+@pytest.mark.parametrize("length", [Fraction(8), 8.0])
+def test_run_rejects_snapshot_times_outside_the_run(length):
+    # the scalar engine on Fractions, the vectorized kernel on floats
+    z = ObstacleField.empty(Ring(length), length / 8)
+    state = SimState.initial(ParticleConfig.equispaced(Ring(length), 3))
+    assert dynamics._fast_eligible(state, z) == isinstance(length, float)
+    with pytest.raises(ConfigurationError, match=r"snapshot times \[-1, 20\] outside the run's \[0, 10\]"):
+        run(state, z, 10, snapshot_times=[20, -1, 3])
+    assert state.time == 0
 
 
 ring_cases = st.builds(

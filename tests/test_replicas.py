@@ -2,7 +2,10 @@
 
 run on a Replicas batch steps every replica's particles in one flat array.
 Each replica must come out exactly as it does when run alone, and as the
-public one-step step() on the rational images of its floats. Positions on
+public one-step step() on the rational images of its floats. On a ring the
+kernel stops stepping once each replica's state repeats up to a relabelling,
+and replays the rest; that must match runs of one step each, which never
+replay, as well. Positions on
 quarter points and speeds in {1/2, 1, 3/2} keep every float sum exact, so
 the comparisons are equalities.
 """
@@ -31,15 +34,15 @@ SPEEDS = (F(1, 2), F(1), F(3, 2))
 
 
 @st.composite
-def replica(draw, ring, start, slots):
+def replica(draw, ring, start, slots, stray=1):
     """1-6 particles on quarter points, stacked at times; scrambled states
-    are out of order and, on a ring, carry stray laps."""
+    are out of order and, on a ring, carry stray laps of up to stray."""
     picks = draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=6))
     reps = [start + F(p, 4) for p in picks]
     laps = [0] * len(reps)
     if draw(st.booleans()):
         if ring:
-            laps = draw(st.lists(st.integers(-1, 1), min_size=len(reps), max_size=len(reps)))
+            laps = draw(st.lists(st.integers(-stray, stray), min_size=len(reps), max_size=len(reps)))
     else:
         reps.sort()
     return reps, laps
@@ -118,6 +121,73 @@ def assert_batch_matches(z, states, steps):
 def test_batch_matches_single_runs_and_fraction_steps(case, steps):
     z, states = case
     assert_batch_matches(z, states, steps)
+
+
+@st.composite
+def ring_batches(draw):
+    """A wait-free field on quarter points of a ring and 1-4 replicas. Stray
+    laps two apart can break the order on every step of a period."""
+    domain = Ring(F(draw(st.integers(4, 16)), 2))
+    slots = int(4 * domain.length)
+    picks = draw(st.lists(st.integers(0, slots - 1), max_size=4, unique=True))
+    positions = tuple(sorted(F(p, 4) for p in picks))
+    velocities = tuple(draw(st.lists(st.sampled_from(SPEEDS), min_size=len(picks), max_size=len(picks))))
+    z = ObstacleField(positions, (0,) * len(picks), velocities, F(3, 2), domain)
+    return z, draw(st.lists(replica(True, 0, slots, stray=2), min_size=1, max_size=4))
+
+
+def assert_replay_matches_stepping(z, states, steps, times=()):
+    """Run the float images of states as one batch on z for steps >= 1 steps.
+
+    Each replica must match steps one-step runs of it and the Fraction
+    step() on its exact state: snapshots at 0, times and steps, final reps
+    and laps, and invariant counts. A reported cycle (lam, s, G) must map
+    the exact state lam steps before the end onto the final one. Returns
+    the batch's summaries.
+    """
+    zf = as_float(z)
+    length = z.domain.length
+    batch = Replicas(new_state([float(r) for r in reps], laps, zf.domain) for reps, laps in states)
+    summaries = list(run(batch, zf, steps, snapshot_times=times))
+    reported = {0, steps, *times}
+    for (reps, laps), state, got in zip(states, batch.states, summaries):
+        single = new_state([float(r) for r in reps], laps, zf.domain)
+        stepped, count = {}, 0
+        for t in range(steps):
+            one = run(single, zf, 1)
+            stepped[t], stepped[t + 1] = one.snapshots[0], one.snapshots[1]
+            count += one.invariant_violations
+
+        oracle = new_state(reps, laps, z.domain)
+        checker = InvariantChecker(z)
+        unwrapped = [oracle.unwrapped()]
+        for _ in range(steps):
+            oracle, report = step(oracle, z)
+            checker(report)
+            unwrapped.append(oracle.unwrapped())
+
+        assert got.snapshots == {t: stepped[t] for t in reported}
+        assert got.snapshots == {t: tuple(map(float, unwrapped[t])) for t in reported}
+        assert state.reps == single.reps == [float(r) for r in oracle.reps]
+        assert state.laps == single.laps == oracle.laps
+        assert got.invariant_violations == count == len(checker.violations)
+        if got.cycle is not None:
+            lam, s, gain = got.cycle
+            n = len(reps)
+            assert 0 < lam <= steps and 0 <= s < n
+            before = unwrapped[steps - lam]
+            assert unwrapped[steps] == tuple(
+                before[(i + s) % n] + ((i + s) // n + gain) * length for i in range(n)
+            )
+    return summaries
+
+
+@settings(max_examples=60)
+@given(ring_batches(), st.integers(1, 120), st.data())
+def test_replay_matches_one_step_runs_and_fraction_steps(case, steps, data):
+    z, states = case
+    times = data.draw(st.lists(st.integers(0, steps), max_size=4))
+    assert_replay_matches_stepping(z, states, steps, times)
 
 
 # Pinned cases for the kernel's carried interval bins. On Ring(8) the
@@ -247,3 +317,77 @@ def test_ineligible_batch_runs_each_replica_alone(monkeypatch):
 def test_empty_batch_gives_no_summaries():
     z = ObstacleField.empty(Ring(6.0), 1.0)
     assert list(run(Replicas(()), z, 5)) == []
+
+
+# Pinned cases for the replay.
+def stepped_until(monkeypatch):
+    """The times the replay observes, the last being where the batch stopped stepping."""
+    seen = []
+    real = dynamics._Replay.observe
+    monkeypatch.setattr(dynamics._Replay, "observe", lambda self, t, *rest: seen.append(t) or real(self, t, *rest))
+    return seen
+
+
+def mean_velocity(cycle, n, length):
+    lam, s, gain = cycle
+    return F(s + n * gain) * length / (n * lam)
+
+
+def test_two_cycles_worked_by_hand(monkeypatch):
+    # Ring(2), no obstacles, top speed 1. Replica A has particles at 0 and
+    # 1/2. Particle 0 is gap-bound once, to 1/2, and from t=1 on both move 1
+    # a step: u(t) = (t - 1/2, t + 1/2). At t=2 particle 0 stands where
+    # particle 1 stood at t=1, and particle 1 where particle 0 stood, one lap
+    # on: lam = 1, s = 1, G = 0. Replica B is one particle at 0, moving 1 a
+    # step: back on its rep a lap on every 2 steps, lam = 2, s = 0, G = 1.
+    # The checkpoints sit at t=0, then t=1, then t=3. A matches t=1's at
+    # t=2 and B at t=3. Every time still to report is then an even number
+    # of steps on from t=3, so the 9-step run stops stepping at t=3.
+    z = ObstacleField.empty(Ring(2), F(1))
+    states = [([F(0), F(1, 2)], [0, 0]), ([F(0)], [0])]
+    seen = stepped_until(monkeypatch)
+    a, b = assert_replay_matches_stepping(z, states, 9)
+    assert max(seen) == 3
+    assert (a.cycle, b.cycle) == ((1, 1, 0), (2, 0, 1))
+    assert a.snapshots[9] == (8.5, 9.5) and b.snapshots[9] == (9.0,)
+    assert (a.final_state.reps, a.final_state.laps) == ([0.5, 1.5], [4, 4])
+    assert (b.final_state.reps, b.final_state.laps) == ([1.0], [4])
+    assert mean_velocity(a.cycle, 2, 2) == mean_velocity(b.cycle, 1, 2) == 1
+
+    # Snapshots after the stop: t=8 is 5 steps on from t=3, an odd phase of
+    # B's period, so B's state at t=4 is captured and the run steps to 4.
+    seen.clear()
+    a, b = assert_replay_matches_stepping(z, states, 9, times=(5, 8))
+    assert max(seen) == 4
+    assert [a.snapshots[t] for t in (5, 8)] == [(4.5, 5.5), (7.5, 8.5)]
+    assert [b.snapshots[t] for t in (5, 8)] == [(5.0,), (8.0,)]
+
+
+def test_replicas_of_different_periods_and_one_that_never_repeats(monkeypatch):
+    # On RING_8 a lone particle takes 8 steps over [0, 4) and 4 over [4, 8):
+    # period 12, found at t=27. A jam of 16 particles on the half points
+    # moves half a unit a step, so it repeats every step relabelled by one.
+    states = [([F(0)], [0]), ([F(k, 2) for k in range(16)], [0] * 16)]
+    seen = stepped_until(monkeypatch)
+    lone, jam = assert_replay_matches_stepping(RING_8, states, 20)
+    assert (lone.cycle, jam.cycle) == (None, (1, 1, 0))
+    assert max(seen) == 20
+    seen.clear()
+    lone, jam = assert_replay_matches_stepping(RING_8, states, 200, times=(100, 199))
+    assert (lone.cycle, jam.cycle) == ((12, 0, 1), (1, 1, 0))
+    assert max(seen) < 40
+    assert mean_velocity(lone.cycle, 1, 8) == F(2, 3)
+    assert mean_velocity(jam.cycle, 16, 8) == F(1, 2)
+
+
+def test_violations_recur_every_period():
+    # Particle 1 stands two laps ahead of particle 2. From t=2 on, each step
+    # one particle snaps back half a unit onto its neighbour's old position:
+    # a negative displacement and a broken order, 2 violations a step. The
+    # repeat is found at t=4, so both runs replay, the longer one 90 more
+    # periods.
+    z = ObstacleField.empty(Ring(4), F(3, 2))
+    state = ([F(0), F(1, 2), F(1, 4), F(0)], [-2, 2, 0, 0])
+    short, long = (assert_replay_matches_stepping(z, [state], steps)[0] for steps in (10, 100))
+    assert short.cycle == long.cycle == (1, 1, 0)
+    assert long.invariant_violations - short.invariant_violations == 2 * 90
