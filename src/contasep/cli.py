@@ -361,11 +361,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     predicted = predict_velocity(rho_x, rho_ext, z.top_speed) if rho_x is not None and rho_x > 0 else None
     phase = classify_phase(rho_x, rho_ext, z.top_speed) if predicted is not None else None
 
-    if cfg.steps == 0:
+    if cfg.steps == 0 or x.count == 0:
         _write_csv(cfg.out / "trajectory.csv", ("t", "particle_index", "position", "displacement", "blocked_flag"), ())
         _write_json(
             cfg.out / "simulate_summary.json",
-            {"V_mean": None, "V_spread": None, "phase": phase, "V_predicted": predicted, "steps": 0},
+            {"V_mean": None, "V_spread": None, "phase": phase, "V_predicted": predicted, "steps": cfg.steps},
         )
         return 2
 
@@ -406,7 +406,8 @@ def _total_violations(counts: list) -> Optional[int]:
 
 
 def _fd_points(cfg: ExperimentConfig, rho_ext, offset, counts) -> list:
-    """Density points of a sweep over cfg's field, stepped as one batch.
+    """Density points of a sweep over cfg's field, stepped as one batch in
+    one run, each velocity measured from the snapshot that ends the burn-in.
 
     Returns (invariant violations, FD_HEADER row) for each count, in order;
     the violations are None where a run went unchecked.
@@ -417,22 +418,19 @@ def _fd_points(cfg: ExperimentConfig, rho_ext, offset, counts) -> list:
         x = ParticleConfig.equispaced(cfg.domain, count, offset)
         rhos.append(_ring_density(x))
         states.append(SimState.initial(x))
-    batch = Replicas(states)
-    burn_in = [0] * len(states)
-    if cfg.burn_in:
-        burn_in = [traj.invariant_violations for traj in run(batch, z, cfg.burn_in)]
+    runs = run(Replicas(states), z, cfg.burn_in + cfg.steps, snapshot_times=(cfg.burn_in,))
     points = []
-    for rho_x, violations, traj in zip(rhos, burn_in, run(batch, z, cfg.steps)):
+    for rho_x, traj in zip(rhos, runs):
         row = (
             rho_x,
             rho_ext,
-            velocity_estimate(traj).mean,
+            velocity_estimate(traj, start=cfg.burn_in).mean,
             predict_velocity(rho_x, rho_ext, z.top_speed),
             classify_phase(rho_x, rho_ext, z.top_speed),
             cfg.steps,
             cfg.domain.length,
         )
-        points.append((_total_violations([violations, traj.invariant_violations]), row))
+        points.append((traj.invariant_violations, row))
     return points
 
 

@@ -520,7 +520,7 @@ def run_coupled(
 
     for t in range(1, steps + 1):
         prev, prev_x, prev_b, prev_rx, prev_rb = state, u_x, u_b, r_x, r_b
-        state = prev._with(x=_moved(prev.x, z_work), xbar=_moved(prev.xbar, z_work), time=t)
+        state = prev._with(x=_step_scalar(prev.x, z_work)[0], xbar=_step_scalar(prev.xbar, z_work)[0], time=t)
         u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
         r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
         events = detect_overtakes(
@@ -569,14 +569,6 @@ def run_coupled(
     return CouplingDiagnostics(
         rows, verdict, initial_defects, final_defects, _in_input_units(state, z, scale), cycle
     )
-
-
-def _moved(side: SimState, z: ObstacleField) -> SimState:
-    """side one step on as a new state, side left as it was: a step replaces
-    reps and laps, so only the countdowns are copied."""
-    out = SimState(side.reps, side.laps, list(side.wait_remaining), side.time, side.domain)
-    _step_scalar(out, z)
-    return out
 
 
 def _cycle_key(state: CoupledState, u_x: tuple, u_b: tuple, period) -> tuple:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import ceil
 from operator import eq
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -111,10 +112,9 @@ class StepReport:
         )
 
 
-def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
-    """One step of every particle, in place: reps and laps are bound to new
-    lists and wait_remaining is updated, so another state sharing the old
-    reps and laps lists keeps them.
+def _step_scalar(state: SimState, z: ObstacleField) -> tuple:
+    """One step of every particle: returns (the next state, the step's
+    report) and writes nothing to state or its lists.
 
     Each particle's candidates, the next obstacle strictly ahead, its
     neighbour's old position and p + its segment speed, are compared as
@@ -132,6 +132,7 @@ def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
     next_laps = [*laps[1:], laps[0] + 1] if n else []
     new_reps = list(reps)
     new_laps = list(laps)
+    new_waiting = list(waiting)
     blocked = [False] * n
     hits = [-1] * n
     v_caps = [None] * n
@@ -141,7 +142,7 @@ def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
         k = bisect_right(positions, p)
         v_caps[i] = v = speed[k]
         if waiting[i] > 0:
-            waiting[i] -= 1
+            new_waiting[i] = waiting[i] - 1
             blocked[i] = True
             continue
         w, r, obstacle = ahead_laps[k], ahead[k], True
@@ -160,7 +161,7 @@ def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
         new_laps[i] += w
         if obstacle:
             hits[i] = j = land[k] - 1
-            waiting[i] = waits[j]
+            new_waiting[i] = waits[j]
 
     report = StepReport(
         state.time,
@@ -173,17 +174,10 @@ def _step_scalar(state: SimState, z: ObstacleField) -> StepReport:
         tuple(hits),
         tuple(v_caps),
     )
-    state.reps = new_reps
-    state.laps = new_laps
-    state.time += 1
-    return report
+    return SimState(new_reps, new_laps, new_waiting, state.time + 1, state.domain), report
 
 
-def step(state: SimState, z: ObstacleField) -> tuple:
-    """Advance one step; returns (new state, report) leaving the input untouched."""
-    out = state.copy()
-    report = _step_scalar(out, z)
-    return out, report
+step = _step_scalar
 
 
 def local_velocity(state: SimState, z: ObstacleField, i: int) -> Scalar:
@@ -383,7 +377,16 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     ring = isinstance(domain, Ring)
     sizes = np.array([s.count for s in states])
     reps = np.array([r for s in states for r in s.reps], dtype=np.float64)
-    laps = np.array([l for s in states for l in s.laps], dtype=np.int64)
+    try:
+        laps = np.array([l for s in states for l in s.laps], dtype=np.int64)
+        if ring:
+            # in floats p + v lands at most (L + v) / 2**53 past itself; abs(-2**63) reads as 2**63 unsigned
+            top, length = Fraction(z.top_speed), Fraction(domain.length)
+            growth = ceil(steps * (top + (length + top) / 2**53) / length) + 1
+            if int(np.abs(laps).view(np.uint64).max()) + growth >= 2**63:
+                raise OverflowError
+    except OverflowError:
+        raise ConfigurationError(f"{steps} steps could carry a lap count past 2**63 - 1, the kernel's limit") from None
     n = reps.shape[0]
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
@@ -635,7 +638,8 @@ def run(
     observers: Iterable[Callable] = (),
     snapshot_times: Iterable[int] = (),
 ) -> TrajectorySummary | Iterator[TrajectorySummary]:
-    """Apply the step map repeatedly, mutating state through to the end.
+    """Apply the step map repeatedly; the last state's reps, laps, countdowns
+    and time are written back into state, also when an observer fails.
 
     Snapshots of unwrapped positions are always taken at t=0 and t=steps,
     plus any requested times in [0, steps] (relative to the start of this
@@ -681,14 +685,13 @@ def run(
         work, z_work, unscale = state, z, tuple
     else:
         scale, domain, z_work, reps = lattice
-        # the countdown lists hold no lengths, so they are stepped in place
-        work = SimState(list(reps), list(state.laps), state.wait_remaining, state.time, domain)
+        work = SimState(list(reps), state.laps, state.wait_remaining, state.time, domain)
         unscale = _Unscale(scale)
     snapshots = {0: unscale(work.unwrapped())}
     try:
         for t in range(steps):
-            report = _step_scalar(work, z_work)
-            if observers and work is not state:
+            work, report = _step_scalar(work, z_work)
+            if observers and lattice is not None:
                 report = unscale.report(report)
             for obs in observers:
                 try:
@@ -700,10 +703,8 @@ def run(
             if t + 1 in snapshot_at:
                 snapshots[t + 1] = unscale(work.unwrapped())
     finally:
-        if work is not state:
-            state.reps = list(unscale(work.reps))
-            state.laps = work.laps
-            state.time = work.time
+        state.reps = list(unscale(work.reps))
+        state.laps, state.wait_remaining, state.time = work.laps, work.wait_remaining, work.time
     return TrajectorySummary(steps, snapshots, state)
 
 

@@ -7,6 +7,7 @@ particle count by the circumference (ring) or window width (finite line).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
@@ -65,7 +66,7 @@ def velocity(traj: TrajectorySummary, i: int, t: Optional[int] = None) -> Scalar
 
 @dataclass(frozen=True)
 class VelocityEstimate:
-    """Per-particle mean velocities over a run prefix, with mean and spread."""
+    """Per-particle mean velocities over the last t steps of a run, with mean and spread."""
 
     values: tuple
     t: int
@@ -83,16 +84,20 @@ class VelocityEstimate:
         return max(self.values) - min(self.values)
 
 
-def velocity_estimate(traj: TrajectorySummary, t: Optional[int] = None) -> VelocityEstimate:
-    if t is None:
-        t = traj.steps
-    n = len(traj.snapshots[0])
-    return VelocityEstimate(tuple(velocity(traj, i, t) for i in range(n)), t)
+def velocity_estimate(traj: TrajectorySummary, start: int = 0) -> VelocityEstimate:
+    """Per-particle mean velocities from the snapshot at start to the end of the run."""
+    t = traj.steps - start
+    if t < 1:
+        raise DegenerateInputError("velocity needs at least one elapsed step")
+    before, after = traj.snapshots[start], traj.snapshots[traj.steps]
+    # as _ratio does, decided once: floats divide by t, exact values by Fraction(t)
+    divisor = t if after and isinstance(after[0], float) else Fraction(t)
+    return VelocityEstimate(tuple((b - a) / divisor for a, b in zip(before, after)), t)
 
 
-def velocity_spread(traj: TrajectorySummary, t: Optional[int] = None) -> Scalar:
+def velocity_spread(traj: TrajectorySummary, start: int = 0) -> Scalar:
     """Largest pairwise difference of per-particle mean velocities."""
-    return velocity_estimate(traj, t).spread
+    return velocity_estimate(traj, start).spread
 
 
 def predict_velocity(

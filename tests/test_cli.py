@@ -136,6 +136,22 @@ def test_simulate_zero_steps_degenerate(tmp_path):
     assert summary["V_mean"] is None
 
 
+@pytest.mark.parametrize("mode", ["exact", "fast"])
+@pytest.mark.parametrize("trajectory", [True, False])
+def test_simulate_zero_particles_degenerate(tmp_path, mode, trajectory):
+    # the same path as zero steps: a header-only trajectory, a summary with
+    # no velocity, exit 2
+    cfg = write_config(
+        tmp_path,
+        {"domain": {"kind": "ring", "length": "12"}, "particles": {"positions": []}, "steps": 5, "trajectory": trajectory},
+    )
+    out = tmp_path / "empty"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--mode", mode]) == 2
+    assert read_csv(out / "trajectory.csv") == (("t", "particle_index", "position", "displacement", "blocked_flag"), [])
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary == {"V_mean": None, "V_spread": None, "phase": None, "V_predicted": None, "steps": 5}
+
+
 def test_extend_outputs(tmp_path):
     cfg = write_config(tmp_path, RING_CFG)
     out = tmp_path / "ext"
@@ -150,17 +166,49 @@ def test_extend_outputs(tmp_path):
     assert summary["rho_z_ext"] == "1"
 
 
-@pytest.mark.parametrize("mode", ["exact", "fast"])
-def test_fd_sweep_monotone_and_merged(tmp_path, mode):
-    cfg = write_config(tmp_path, RING_CFG)
+# criterion 1's field: a 600-ring with an obstacle every 3 units
+CRITERION_1_CFG = {
+    "domain": {"kind": "ring", "length": "600"},
+    "obstacles": {"generator": "equispaced", "params": {"spacing": "3"}},
+    "particle_offset": "0.5",
+}
+
+
+@pytest.mark.parametrize(
+    "mode, sweep",
+    [
+        ("exact", "ring"),
+        ("fast", "ring"),
+        ("fast", "waited"),
+        ("fast", "no burn-in"),
+        ("fast", "long burn-in"),
+        ("fast", "criterion 1"),
+    ],
+    ids=["exact", "fast", "fast-waited", "fast-no-burn-in", "fast-burn-in-100", "fast-criterion-1-burn-in-5"],
+)
+def test_fd_sweep_monotone_and_merged(tmp_path, mode, sweep):
+    config, args = {
+        # five points of 3, 7, 10, 14 and 18 particles: one batch; batches of
+        # 25 and 27 particles; of 18, 17 and 17; one point each
+        "ring": (RING_CFG, SWEEP_ARGS),
+        # a positive wait: each point runs alone in the scalar engine
+        "waited": (WAITED_RING_CFG, SWEEP_ARGS),
+        # the burn-in ends at the run's first snapshot
+        "no burn-in": ({**RING_CFG, "burn_in": 0}, SWEEP_ARGS),
+        # each batch stops stepping by step 28, so the snapshot that ends
+        # the burn-in is replayed
+        "long burn-in": ({**RING_CFG, "burn_in": 100}, SWEEP_ARGS),
+        # two points repeat only after the burn-in, at steps 25 and 103, so
+        # its snapshot is stepped
+        "criterion 1": ({**CRITERION_1_CFG, "burn_in": 5}, ["--rho-min", "0.1", "--rho-max", "2.0", "--points", "5"]),
+    }[sweep]
+    cfg = write_config(tmp_path, config)
     written = []
-    # five points of 3, 7, 10, 14 and 18 particles: one batch; batches of
-    # 25 and 27 particles; of 18, 17 and 17; one point each
     for threads in ("1", "2", "3", "7"):
         out = tmp_path / f"fd{threads}"
         code = main([
             "fd-sweep", "--config", cfg, "--out", str(out), "--steps", "300",
-            "--mode", mode, "--threads", threads, *SWEEP_ARGS,
+            "--mode", mode, "--threads", threads, *args,
         ])
         assert code == 0
         assert [f.name for f in out.iterdir()] == ["fd.csv"]
@@ -169,16 +217,18 @@ def test_fd_sweep_monotone_and_merged(tmp_path, mode):
     header, rows = read_csv(out / "fd.csv")
     assert header == ("rho_x", "rho_z_ext", "V_measured", "V_predicted", "phase", "steps", "domain_L")
     assert len(rows) == 5
-    measured = [F(r[2]) for r in rows]
-    assert all(a >= b for a, b in zip(measured, measured[1:]))
-    if mode == "fast":
-        loaded = load_config(cfg, mode_override="fast", steps_override=300)
-        for row in rows:
-            x = ParticleConfig.equispaced(loaded.domain, round(float(row[0]) * 12), 0.0)
-            state = SimState.initial(x)
-            run(state, loaded.obstacles, loaded.burn_in)
-            traj = run(state, loaded.obstacles, loaded.steps)
-            assert row[2] == format_scalar(velocity_estimate(traj).mean)
+    if sweep in ("ring", "criterion 1"):
+        # elsewhere neighbouring points differ by less than a 300-step run's noise
+        measured = [F(r[2]) for r in rows]
+        assert all(a >= b for a, b in zip(measured, measured[1:]))
+    # each row is a burn-in run, then a measured run from where it stopped
+    loaded = load_config(cfg, mode_override=mode, steps_override=300)
+    for row in rows:
+        count = round(F(row[0]) * F(row[6]))
+        state = SimState.initial(ParticleConfig.equispaced(loaded.domain, count, loaded.particle_offset))
+        run(state, loaded.obstacles, loaded.burn_in)
+        traj = run(state, loaded.obstacles, loaded.steps)
+        assert row[2] == format_scalar(velocity_estimate(traj).mean)
 
 
 def test_sweep_batches_balance_particle_counts():
@@ -206,8 +256,8 @@ def test_fast_mode_generated_field_runs_vectorized(tmp_path, monkeypatch):
         "--mode", "fast", "--threads", "1", "--rho-min", "0.1", "--rho-max", "0.2", "--points", "2",
     ])
     assert code == 0
-    # one burn-in call and one measured call for the batch of both points
-    assert calls == [(60 + 120, 2), (60 + 120, 20)]
+    # one call for the batch of both points, its 2-step burn-in included
+    assert calls == [(60 + 120, 22)]
 
 
 # criterion 8's ring with a wait on two of its eight obstacles
@@ -243,6 +293,24 @@ def test_fast_sweep_on_a_waited_field_runs_the_scalar_engine_unchecked(tmp_path,
     assert [violations for violations, _ in points] == [None, None]
 
 
+def test_fast_sweep_whose_lap_counts_could_pass_int64_exits_one(tmp_path, capsys):
+    # on a ring of length 2 at top speed 1, 10**20 steps (and a burn-in of
+    # 10**19) could carry a particle about 5.5 * 10**19 laps on
+    cfg = write_config(
+        tmp_path, {"domain": {"kind": "ring", "length": "2"}, "obstacles": {"positions": ["0"]}, "steps": 1}
+    )
+    out = tmp_path / "fd"
+    code = main([
+        "fd-sweep", "--config", cfg, "--out", str(out), "--mode", "fast", "--steps", str(10**20),
+        "--threads", "2", "--rho-min", "0.5", "--rho-max", "1", "--points", "2",
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {11 * 10**19} steps could carry a lap count past 2**63 - 1, the kernel's limit\n"
+    )
+
+
 def one_violation_per_replica(real):
     """A _run_fast that reports one invariant violation for each replica of each call."""
 
@@ -264,7 +332,7 @@ def test_fd_sweep_invariant_violation_exits_three(tmp_path, monkeypatch, capsys)
     assert code == 3
     assert not out.exists()
     err = capsys.readouterr().err.strip()
-    assert err == "property violated: fd-sweep point rho_x=0.25: 2 invariant violations"
+    assert err == "property violated: fd-sweep point rho_x=0.25: 1 invariant violations"
 
 
 def test_fd_sweep_rejects_empty_sweep(tmp_path):

@@ -82,6 +82,43 @@ def fraction_run(x, z, steps):
     return states, reports
 
 
+@settings(max_examples=60)
+@given(st.one_of(ring_cases(), line_cases()), st.data())
+def test_step_returns_the_next_state_and_writes_nothing_to_its_input(case, data):
+    # any countdowns, and on a ring stray laps of up to 1
+    x, z = case
+    n = x.count
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    laps = data.draw(ints(-1, 1)) if isinstance(x.domain, Ring) else [0] * n
+    state = SimState(list(x.positions), laps, data.draw(ints(0, 2)), data.draw(st.integers(0, 5)), x.domain)
+    before, lists = state.copy(), (state.reps, state.laps, state.wait_remaining)
+    after, report = step(state, z)
+    assert state == before
+    assert all(a is b for a, b in zip((state.reps, state.laps, state.wait_remaining), lists))
+    assert not any(a is b for a in (after.reps, after.laps, after.wait_remaining) for b in lists)
+    assert (after.time, report.time) == (state.time + 1, state.time)
+    # run writes the same step back into its state, countdowns included
+    run(state, z, 1)
+    assert state == after
+
+
+def test_run_leaves_the_countdowns_of_as_many_steps():
+    # criterion 8's ring, with waits of 1 and 2: run stops mid-wait
+    ring = Ring(24)
+    z = ObstacleField(tuple(range(0, 24, 3)), (2, 0, 0, 0, 1, 0, 0, 0), (1, F(1, 2)) * 4, 1, ring)
+    x = ParticleConfig.equispaced(ring, 10, F(1, 4))
+    oracle = SimState.initial(x)
+    seen = set()
+    for k in range(1, 25):
+        oracle, _ = step(oracle, z)
+        state = SimState.initial(x)
+        run(state, z, k)
+        assert state.wait_remaining == oracle.wait_remaining
+        assert state == oracle
+        seen.update(state.wait_remaining)
+    assert seen == {0, 1, 2}
+
+
 def test_to_lattice_scales_by_the_lcm_of_denominators():
     ring = Ring(F(15, 2))
     z = ObstacleField((0, F(5, 4)), (1, 0), (F(1, 2), 1), F(3, 2), ring)

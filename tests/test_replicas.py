@@ -12,6 +12,7 @@ the comparisons are equalities.
 from bisect import bisect_right
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -27,7 +28,7 @@ from contasep import (
     step,
 )
 from contasep import dynamics
-from contasep.core import INFINITY
+from contasep.core import INFINITY, ConfigurationError
 
 F = Fraction
 SPEEDS = (F(1, 2), F(1), F(3, 2))
@@ -391,3 +392,30 @@ def test_violations_recur_every_period():
     short, long = (assert_replay_matches_stepping(z, [state], steps)[0] for steps in (10, 100))
     assert short.cycle == long.cycle == (1, 1, 0)
     assert long.invariant_violations - short.invariant_violations == 2 * 90
+
+
+def test_lap_counts_that_could_pass_int64_are_refused():
+    # Replica A of the two cycles worked by hand: u(t) = (t - 1/2, t + 1/2)
+    # from t=1 on, so 10**19 steps end about 5 * 10**18 laps on, inside the
+    # kernel's int64 (2**63 - 1, about 9.2 * 10**18). A second such run, or
+    # one of 10**20 steps, could pass it, and so could a lap count given
+    # past it; each is refused before a step, the state left as it was.
+    z = ObstacleField.empty(Ring(2.0), 1.0)
+    state = SimState([0.0, 0.5], [0, 0], [0, 0], 0, z.domain)
+    run(state, z, 10**19)
+    assert (state.reps, state.laps, state.time) == ([1.5, 0.5], [5 * 10**18 - 1, 5 * 10**18], 10**19)
+    # at the bound's edge: 2 steps of a lone particle have a bound of
+    # ceil(2 * (1 + 3 / 2**53) / 2) + 1 = 3 laps and gain 1
+    edge = SimState([0.0], [2**63 - 4], [0], 0, z.domain)
+    run(edge, z, 2)
+    assert edge.laps == [2**63 - 3]
+    for start, steps in (
+        (state, 10**19),
+        (SimState([0.0, 0.5], [0, 0], [0, 0], 0, z.domain), 10**20),
+        (SimState([0.0], [2**63 - 3], [0], 0, z.domain), 2),
+        (SimState([0.0], [2**63], [0], 0, z.domain), 1),
+    ):
+        before = start.copy()
+        with pytest.raises(ConfigurationError, match=r"could carry a lap count past 2\*\*63 - 1"):
+            run(start, z, steps)
+        assert start == before
