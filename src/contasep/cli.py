@@ -495,8 +495,9 @@ def cmd_fd_sweep(cfg: ExperimentConfig, args) -> int:
             points[k] = point
     for violations, row in points:
         if violations:
+            noun = "violation" if violations == 1 else "violations"
             raise InvariantViolationError(
-                f"fd-sweep point rho_x={format_scalar(row[0])}: {violations} invariant violations"
+                f"fd-sweep point rho_x={format_scalar(row[0])}: {violations} invariant {noun}"
             )
     _write_csv(cfg.out / "fd.csv", FD_HEADER, [row for _, row in points])
     return 0

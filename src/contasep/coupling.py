@@ -84,8 +84,11 @@ class OvertakeEvent:
     other than the mover when the event was processed (None if none were);
     repair_target is the index the pairing rules select for (re)pairing: the
     largest overtaken index below the anchor that is free or held by the mover
-    itself, over the whole block when there is no anchor. Both are filled in
-    by apply_pairing, since they depend on the live pairing.
+    itself, over the whole block when there is no anchor. held_by is each
+    overtaken particle's partner, the mover for a free one, and partner the
+    mover's own partner (None for a defect), both as the event found them.
+    All four are filled in by apply_pairing, since they depend on the live
+    pairing.
     """
 
     side: str
@@ -93,6 +96,8 @@ class OvertakeEvent:
     overtaken: tuple
     paired_anchor: Optional[int] = None
     repair_target: Optional[int] = None
+    held_by: Optional[list] = None
+    partner: Optional[int] = None
 
     def __post_init__(self):
         if self.side not in ("x", "xbar"):
@@ -270,16 +275,19 @@ def apply_pairing(
             u_mover, u_other = u_b, u_x
         i = ev.mover
         n = len(u_other)
-        paired = [m for m in ev.overtaken if theirs.get(m % n, i) != i]
-        anchor = min(paired) if paired else None
-        free = [
-            m
-            for m in ev.overtaken
-            if (anchor is None or m < anchor) and theirs.get(m % n, i) == i
-        ]
-        target = max(free) if free else None
+        # each overtaken particle's partner, the mover for a free one; the
+        # overtaken indices ascend, so every one below the anchor is free
+        held = [theirs.get(m % n, i) for m in ev.overtaken]
+        anchor = target = None
+        for m, h in zip(ev.overtaken, held):
+            if h != i:
+                anchor = m
+                break
+            target = m
         ev.paired_anchor = anchor
         ev.repair_target = target
+        ev.held_by = held
+        ev.partner = mine.get(i)
 
         if i in mine:
             if target is not None:
@@ -314,6 +322,33 @@ def apply_pairing(
             raise InvariantViolationError("pairing maps fell out of sync")
     # maps in sync make the pairing one-to-one, so it is not checked again
     return state._with(pairing=fwd)
+
+
+def _order_free(events, n_x: int, n_b: int) -> bool:
+    """Whether apply_pairing, which ran these events on sides of n_x and n_b
+    particles, would give the same pairing from any order of each side's
+    events: on each side no two of them touch one pairing entry.
+
+    An event reads and writes only the entries it touches: on its own side
+    the mover and the partners of the particles it overtook, on the other
+    side those particles and the mover's partner. So events that touch
+    disjoint entries commute. A relabelled state runs each side's events
+    in a rotated mover order, and the stack re-deal reads positions only,
+    so a step whose events are order-free maps every cyclic relabelling of
+    its state to the same relabelling of its result.
+    """
+    seen = {"x": (set(), set(), n_b), "xbar": (set(), set(), n_x)}
+    for ev in events:
+        own, other, n = seen[ev.side]
+        mine = {ev.mover, *ev.held_by}
+        theirs = {m % n for m in ev.overtaken}
+        if ev.partner is not None:
+            theirs.add(ev.partner)
+        if not own.isdisjoint(mine) or not other.isdisjoint(theirs):
+            return False
+        own |= mine
+        other |= theirs
+    return True
 
 
 def _stack_depths(u, period):
@@ -447,9 +482,15 @@ class CouplingDiagnostics:
 
     rows: (t, defects_x, defects_xbar, pairs, v_gap_abs, proper_flag) where
     v_gap_abs is |displacement difference of particle 0| up to time t.
-    cycle: (mu, lam) when the coupled state at mu + lam repeated the one at mu
-    up to a common whole-lap shift, the first repeat of the run; every later
-    state then repeats with period lam. None if the run ended before one.
+    cycle: (mu, lam, s, s_bar) when the coupled state at mu + lam repeated
+    the one at mu up to a cyclic relabelling and a whole-lap shift of each
+    side, the first repeat of the run: each particle i of x stands where
+    particle i + s stood lam steps before, and each particle j of xbar where
+    particle j + s_bar stood, the index read cyclically and one lap on past
+    the last particle. Every later state then repeats the state lam steps
+    before it in the same way, and the labelled state, up to whole laps,
+    with period lam * lcm(n / gcd(n, s), n / gcd(n, s_bar)). None if the run
+    ended before a repeat.
     """
 
     rows: list
@@ -480,14 +521,20 @@ def run_coupled(
     checked as integers on its lattice (see to_lattice); rows, the final
     state and the dump are in input units.
 
-    On the lattice the coupled state up to a common whole-lap shift takes
-    finitely many values, so every run turns periodic. Each state is kept as
-    a _cycle_key in a dict, which matches keys by equality, never by hash
-    alone; at the first repeat the run stops stepping. Every later
-    state repeats one already stepped and checked, so the remaining rows are
-    the period's rows renumbered (both sides gain the same laps, so v_gap_abs
-    repeats too), and the final state is the period's state at the same
-    phase, moved on by whole laps.
+    On the lattice the coupled state up to a cyclic relabelling and a
+    whole-lap shift of each side takes finitely many values, so every run
+    turns periodic. Each state is kept as a _canonical_key in a dict, which
+    matches keys by equality, never by hash alone. Let the state at t match
+    the one at mu: it is R of it, R relabelling each side and moving it on
+    by whole laps. The step rule, the overtake ranks, the stack re-deal and
+    the checks read positions on the covering line only, so they commute
+    with R, and so does the pairing whenever a step's events are
+    _order_free. So if the match is labelled (R only moves laps), or every
+    step from mu to t was order-free, each later state is R of the state
+    t - mu steps before it, already stepped and checked. The run then stops
+    stepping: later rows are the period's rows renumbered, with v_gap_abs
+    read off R^q of the state at the same phase, and so is the final state.
+    A match that passes neither test is passed over, and the run steps on.
     """
     if not isinstance(x.domain, Ring):
         raise ConfigurationError("coupled runs require a ring domain")
@@ -513,9 +560,12 @@ def run_coupled(
     start_x, start_b = u_x[0], u_b[0]
     inverse = {}
     rows = []
-    # per step from t=0: its key's step, and the laps of x's particle 0
-    seen = {_cycle_key(state, u_x, u_b, period): 0}
-    laps0 = [state.x.laps[0]]
+    # per step from t=0: its key, its marks and the events that led to it;
+    # per key, the steps that had it
+    key, mark = _canonical_key(state, u_x, u_b, period)
+    keys, marks, history = [key], [mark], [[]]
+    seen = {key: [0]}
+    n = state.x.count
     cycle = None
 
     for t in range(1, steps + 1):
@@ -527,6 +577,7 @@ def run_coupled(
             prev, state, unwrapped=(prev_x, u_x, prev_b, u_b), ranks=(prev_rx, r_x, prev_rb, r_b)
         )
         state = apply_pairing(state, events, unwrapped=(u_x, u_b), inverse=inverse)
+        history.append(events)
 
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
@@ -545,20 +596,44 @@ def run_coupled(
             )
         rows.append((t, d_x, d_b, state.pair_count, v_gap_abs, 1))
 
-        mu = seen.setdefault(_cycle_key(state, u_x, u_b, period), t)
-        if mu != t:
-            cycle = (mu, t - mu)
+        key, mark = _canonical_key(state, u_x, u_b, period)
+        earlier = seen.setdefault(key, [])
+        for mu in earlier:
+            # how far R moves each side's start and base laps
+            moves = [b - a for a, b in zip(marks[mu], mark)]
+            labelled = moves[0] == moves[1] == 0
+            if labelled or all(_order_free(history[s], n, n) for s in range(mu + 1, t + 1)):
+                cycle = mu, moves
+                break
+        if cycle is not None:
             break
-        laps0.append(state.x.laps[0])
+        earlier.append(t)
+        keys.append(key)
+        marks.append(mark)
 
-    if cycle is not None and t < steps:
-        mu, lam = cycle
-        for s in range(t + 1, steps + 1):
-            rows.append((s, *rows[s - lam - 1][1:]))
-        periods, phase = divmod(steps - mu, lam)
-        key = list(seen)[mu + phase]
-        shift = laps0[mu + phase] + periods * (state.x.laps[0] - laps0[mu])
-        state = _from_cycle_key(key, shift * period, steps, z_work)
+    if cycle is not None:
+        mu, moves = cycle
+        lam = t - mu
+
+        def at(tau):
+            """The key of the state at tau and its marks: those of the state
+            at the same phase, moved q times by R."""
+            q, r = divmod(tau - mu, lam)
+            return keys[mu + r], *(m + q * move for m, move in zip(marks[mu + r], moves))
+
+        for tau in range(t + 1, steps + 1):
+            key, c_x, c_b, base_x, base_b = at(tau)
+            # particle 0 of each side is canonical particle -c mod n: its
+            # rep, base laps on and a lap more for each turn of -c
+            turns_x, i_x = divmod(-c_x, n)
+            turns_b, i_b = divmod(-c_b, n)
+            moved_x = key[i_x] + (base_x + turns_x) * period - start_x
+            moved_b = key[n + i_b] + (base_b + turns_b) * period - start_b
+            rows.append((tau, *rows[tau - lam - 1][1:4], Fraction(abs(moved_x - moved_b), scale), 1))
+        if t < steps:
+            state = _from_canonical_key(*at(steps), steps, z_work)
+        # each particle i stands where particle i + s stood lam steps before
+        cycle = (mu, lam, -moves[0] % n, -moves[1] % n)
 
     final_defects = rows[-1][1] + rows[-1][2] if rows else initial_defects
     verdict = (
@@ -571,32 +646,77 @@ def run_coupled(
     )
 
 
-def _cycle_key(state: CoupledState, u_x: tuple, u_b: tuple, period) -> tuple:
-    """A lattice coupled state up to a common whole-lap shift, as one flat
-    tuple: both sides' unwrapped positions less x's particle 0's whole laps,
-    both sides' countdowns and x's partners (None for a defect). Two states
-    with equal keys evolve alike, up to that shift."""
-    base = state.x.laps[0] * period
-    return (
-        *[u - base for u in u_x],
-        *[u - base for u in u_b],
-        *state.x.wait_remaining,
-        *state.xbar.wait_remaining,
-        *map(state.pairing.get, range(len(u_x))),
+def _canonical_start(reps: list, u: tuple, period) -> int:
+    """The index of a side's first particle in canonical order: the tail of
+    the stack at its least rep, the one _stack_depths gives the greatest
+    depth there. It is chosen by position, so it follows a relabelling."""
+    c = reps.index(min(reps))
+    if c == 0:
+        # the stack may straddle the index seam: its tail is then the first
+        # of the particles that stand one lap past particle 0
+        top = u[0] + period
+        c = len(u)
+        while u[c - 1] == top:
+            c -= 1
+        c %= len(u)
+    return c
+
+
+def _canonical_key(state: CoupledState, u_x: tuple, u_b: tuple, period) -> tuple:
+    """A lattice coupled state up to a cyclic relabelling and a whole-lap
+    shift of each side: (key, marks).
+
+    Each side is read from its _canonical_start c, one lap on past its last
+    particle. Read so, its positions ascend from the least rep and span at
+    most a lap, and no particle but c's stack stands at that rep, so each
+    stands at its rep plus the whole laps of particle c, its base. The key
+    is one flat tuple of both sides' reps and countdowns read so, and x's
+    partners as canonical xbar indices (None for a defect). marks is (c_x,
+    c_b, base_x, base_b). Two states with equal keys are one relabelling and
+    lap shift of each other, and their marks give it.
+    """
+    c_x = _canonical_start(state.x.reps, u_x, period)
+    c_b = _canonical_start(state.xbar.reps, u_b, period)
+    r_x, r_b = state.x.reps, state.xbar.reps
+    w_x, w_b = state.x.wait_remaining, state.xbar.wait_remaining
+    n_b = len(r_b)
+    get = state.pairing.get
+    partners = [*map(get, range(c_x, len(r_x))), *map(get, range(c_x))]
+    key = (
+        *r_x[c_x:],
+        *r_x[:c_x],
+        *r_b[c_b:],
+        *r_b[:c_b],
+        *w_x[c_x:],
+        *w_x[:c_x],
+        *w_b[c_b:],
+        *w_b[:c_b],
+        *[None if p is None else (p - c_b) % n_b for p in partners],
     )
+    return key, (c_x, c_b, state.x.laps[c_x], state.xbar.laps[c_b])
 
 
-def _from_cycle_key(key: tuple, shift, time: int, z: ObstacleField) -> CoupledState:
-    """The state a _cycle_key records, moved on by shift (whole laps), at time."""
+def _from_canonical_key(
+    key: tuple, c_x: int, c_b: int, base_x: int, base_b: int, time: int, z: ObstacleField
+) -> CoupledState:
+    """The state a _canonical_key records, each side read from its start
+    (c_x, c_b) and moved on to its base laps (base_x, base_b), at time."""
     n = len(key) // 5
-    period = z.domain.length
 
-    def side(part, waits) -> SimState:
-        laps, reps = zip(*(divmod(u + shift, period) for u in key[part * n : (part + 1) * n]))
-        return SimState(list(reps), list(laps), list(key[waits * n : (waits + 1) * n]), time, z.domain)
+    def side(part, c, base) -> SimState:
+        # particle j is canonical particle i, turns laps past the base
+        turns, index = zip(*(divmod(j - c, n) for j in range(n)))
+        reps = [key[part * n + i] for i in index]
+        waits = [key[(2 + part) * n + i] for i in index]
+        return SimState(reps, [base + k for k in turns], waits, time, z.domain)
 
-    pairing = {i: j for i, j in enumerate(key[4 * n :]) if j is not None}
-    return CoupledState(side(0, 2), side(1, 3), z, pairing, time)
+    partners = key[4 * n :]
+    pairing = {}
+    for j in range(n):
+        p = partners[(j - c_x) % n]
+        if p is not None:
+            pairing[j] = (p + c_b) % n
+    return CoupledState(side(0, c_x, base_x), side(1, c_b, base_b), z, pairing, time)
 
 
 def _in_input_units(state: CoupledState, z: ObstacleField, scale: int) -> CoupledState:

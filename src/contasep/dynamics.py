@@ -323,17 +323,26 @@ class Replicas:
         return sum(s.count for s in self.states)
 
 
+def _fast_field(z: ObstacleField, domain: Domain) -> bool:
+    """Whether the vectorized kernel takes field z on domain: floats, no waits."""
+    values = [*z.positions, *z.velocities, z.top_speed]
+    if isinstance(domain, Ring):
+        values.append(domain.length)
+    return all(isinstance(v, float) for v in values) and not any(w > 0 for w in z.waits)
+
+
+def _fast_state(state: SimState) -> bool:
+    """Whether the vectorized kernel takes state's own values: some particles,
+    float positions, no countdown running."""
+    return (
+        state.count > 0
+        and all(isinstance(r, float) for r in state.reps)
+        and not any(w > 0 for w in state.wait_remaining)
+    )
+
+
 def _fast_eligible(state: SimState, z: ObstacleField) -> bool:
-    if state.count == 0:
-        return False
-    values = list(state.reps) + list(z.positions) + list(z.velocities) + [z.top_speed]
-    if isinstance(state.domain, Ring):
-        values.append(state.domain.length)
-    if not all(isinstance(v, float) for v in values):
-        return False
-    if any(w > 0 for w in z.waits) or any(w > 0 for w in state.wait_remaining):
-        return False
-    return True
+    return _fast_state(state) and _fast_field(z, state.domain)
 
 
 def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -> tuple:
@@ -667,10 +676,13 @@ def run(
 
     if isinstance(state, Replicas):
         states = state.states
+        # the field is checked once for the batch, each replica's own values once
         if (
             states
             and not observers
-            and all(s.domain == states[0].domain and _fast_eligible(s, z) for s in states)
+            and all(s.domain == states[0].domain for s in states)
+            and _fast_field(z, states[0].domain)
+            and all(map(_fast_state, states))
         ):
             return _summaries(state, steps, *_run_fast(state, z, steps, snapshot_at))
         return iter([run(s, z, steps, observers, snapshot_at) for s in states])

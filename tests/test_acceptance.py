@@ -3,6 +3,7 @@ diagnostics, and constructive scenarios, each at its stated tolerance.
 
 Every test emits one [PASS]/[FAIL] line (visible with -s or on failure).
 """
+import math
 import random
 import time
 from fractions import Fraction
@@ -303,18 +304,25 @@ def test_criterion_10_coupling_diagnostics():
     bound = 5 * 4 / steps * 10
     balanced = all(row[1] == row[2] for row in diag.rows)
     proper = all(row[5] == 1 for row in diag.rows)
-    # the coupled state at t=98 repeats that of t=48 up to whole laps, so the
-    # run is periodic from t=48; 1+1 defects on every step of the period make
-    # the final count exact for every later step, not only up to step 10^4
-    mu, lam = diag.cycle
-    period_defects = {row[1:3] for row in diag.rows[mu : mu + lam]}
+    # the coupled state at t=49 is that of t=48 with each particle in its
+    # successor's place on both sides, up to whole laps: cycle (48, 1, 1, 1).
+    # So the run is periodic from t=48, and with 50 particles a side the
+    # labelled state repeats after lam * lcm(50/gcd(50, 1), 50/gcd(50, 1)) = 50
+    # steps, the state of t=98 being that of t=48. 1+1 defects on every step
+    # of the period make the final count exact for every later step, not
+    # only up to step 10^4
+    mu, lam, s, s_bar = diag.cycle
+    n = 50
+    labelled_period = lam * math.lcm(n // math.gcd(n, s), n // math.gcd(n, s_bar))
+    period_defects = {row[1:3] for row in diag.rows[mu : mu + labelled_period]}
     ok = (
         diag.nearly_successful
         and diag.final_defects < 0.1 * diag.initial_defects
         and balanced
         and proper
         and final_gap < bound
-        and diag.cycle == (48, 50)
+        and diag.cycle == (48, 1, 1, 1)
+        and labelled_period == 50
         and period_defects == {(1, 1)}
     )
     report(
@@ -322,7 +330,8 @@ def test_criterion_10_coupling_diagnostics():
         ok,
         f"defects {diag.initial_defects} -> {diag.final_defects}, "
         f"velocity gap {float(final_gap):.6f} < {bound}, proper throughout, "
-        f"periodic from t={mu} with period {lam}, defects {period_defects} on the period",
+        f"periodic from t={mu} with period {lam} up to a relabelling ({labelled_period} as labelled), "
+        f"defects {period_defects} on the period",
     )
 
 

@@ -332,7 +332,7 @@ def test_fd_sweep_invariant_violation_exits_three(tmp_path, monkeypatch, capsys)
     assert code == 3
     assert not out.exists()
     err = capsys.readouterr().err.strip()
-    assert err == "property violated: fd-sweep point rho_x=0.25: 1 invariant violations"
+    assert err == "property violated: fd-sweep point rho_x=0.25: 1 invariant violation"
 
 
 def test_fd_sweep_rejects_empty_sweep(tmp_path):
@@ -400,9 +400,12 @@ def test_couple_series_and_verdict(tmp_path):
     summary = json.loads((out / "couple_summary.json").read_text())
     assert summary["initial_defects"] == 12
     assert summary["verdict"] in ("nearly successful", "defects persist")
-    # the state at t=17 repeats that of t=5, and the rows after it the period's
-    mu, lam = summary["cycle"]
-    assert (mu, lam) == (5, 12)
+    # from t=5 every particle moves 1 a step, so the state at t=17 is that of
+    # t=5 one lap on. x stands at 0, 5, 7, 9, 10, 11 (mod 12), a set no
+    # shift short of a lap maps onto itself, so no relabelling repeats the
+    # state sooner: cycle (5, 12, 0, 0), and the rows after it the period's
+    mu, lam, s, s_bar = summary["cycle"]
+    assert (mu, lam, s, s_bar) == (5, 12, 0, 0)
     assert all(rows[i][1:] == rows[i - lam][1:] for i in range(mu + lam, len(rows)))
 
 

@@ -32,6 +32,7 @@ from contasep import (
     step,
 )
 from contasep.core import INFINITY, to_lattice
+from contasep.coupling import _canonical_key, _order_free
 from contasep.dynamics import default_intervals
 from contasep.scenarios import poisson_obstacles
 
@@ -40,20 +41,20 @@ SPEEDS = (F(1, 2), F(1), F(3, 2))
 
 
 @st.composite
-def fields(draw, domain, width):
-    """Up to four obstacles on quarter points of [0, width), waits 0-2."""
+def fields(draw, domain, width, max_wait=2):
+    """Up to four obstacles on quarter points of [0, width), waits 0 to max_wait."""
     slots = draw(st.lists(st.integers(0, 4 * width - 1), min_size=0, max_size=4, unique=True))
     positions = tuple(sorted(F(s, 4) for s in slots))
     k = len(positions)
-    waits = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    waits = tuple(draw(st.lists(st.integers(0, max_wait), min_size=k, max_size=k)))
     velocities = tuple(draw(st.lists(st.sampled_from(SPEEDS), min_size=k, max_size=k)))
     return ObstacleField(positions, waits, velocities, F(3, 2), domain)
 
 
-def particles(domain, width, max_size=6):
+def particles(domain, width, max_size=6, min_size=1):
     """Third points, so the lattice mixes denominators 2, 3 and 4."""
     return st.lists(
-        st.integers(0, 3 * width - 1), min_size=1, max_size=max_size
+        st.integers(0, 3 * width - 1), min_size=min_size, max_size=max_size
     ).map(lambda picks: ParticleConfig.from_iterable((F(p, 3) for p in picks), domain))
 
 
@@ -238,16 +239,22 @@ def test_int_length_checker_reports_like_a_fraction_length():
     assert all(type(v) is float for ab in default_intervals(Ring(8.0)) for v in ab)
 
 
+def coupled_step(state):
+    """One coupled step through the public functions: (next state, its events)."""
+    new_x, _ = step(state.x, state.z)
+    new_b, _ = step(state.xbar, state.z)
+    moved = CoupledState(new_x, new_b, state.z, dict(state.pairing), state.time + 1)
+    events = detect_overtakes(state, moved)
+    return apply_pairing(moved, events), events
+
+
 def coupled_oracle(x, xbar, z, steps):
     """Oracle for run_coupled: (rows, final state, violations or None)."""
     state = CoupledState.initial(x, xbar, z)
     start_x, start_b = state.x.unwrapped()[0], state.xbar.unwrapped()[0]
     rows = []
     for t in range(1, steps + 1):
-        new_x, _ = step(state.x, z)
-        new_b, _ = step(state.xbar, z)
-        moved = CoupledState(new_x, new_b, z, dict(state.pairing), t)
-        state = apply_pairing(moved, detect_overtakes(state, moved))
+        state, _ = coupled_step(state)
         violations = is_proper(state)
         if violations:
             return rows, state, violations
@@ -279,6 +286,18 @@ def coupled_cases(draw):
     return x, thirds(x.domain, picks), z
 
 
+@st.composite
+def crowded_cases(draw):
+    """Wait-free rings with 6-12 particles a side, whose coupled states
+    often repeat up to a relabelling of each side."""
+    half = draw(st.integers(8, 20))
+    ring = Ring(F(half, 2))
+    width = half // 2
+    n = draw(st.integers(6, 12))
+    x, xbar = (draw(particles(ring, width, max_size=n, min_size=n)) for _ in "xb")
+    return x, xbar, draw(fields(ring, width, max_wait=0))
+
+
 # A waited field whose coupled state first repeats at t=31 that of t=6: the
 # run stops stepping there and replays the 25-step period.
 REPEATING_RING = Ring(F(17, 2))
@@ -292,24 +311,41 @@ REPEATING = (
 # run lengths ending before the first repeat, at it, and mid-period five periods on
 BEFORE, AT, MID_PERIOD = 30, 31, 150
 
+# A wait-free crowded ring whose coupled state at t=4 is that of t=3 with
+# each particle in its successor's place on both sides: cycle (3, 1, 1, 1).
+# 11 particles a side make its labelled period 1 * lcm(11, 11) = 11 steps,
+# so a 60-step run replays 56 rows, whose v_gap_abs takes 6 values.
+CROWDED_RING = Ring(5)
+CROWDED = (
+    thirds(CROWDED_RING, (1, 2, 4, 4, 5, 6, 6, 7, 7, 13, 14)),
+    thirds(CROWDED_RING, (1, 2, 2, 4, 5, 7, 7, 8, 10, 13, 14)),
+    ObstacleField((F(5, 4), 4, F(19, 4)), (0, 0, 0), (1, 1, F(3, 2)), F(3, 2), CROWDED_RING),
+)
+
 
 def test_pinned_runs_end_before_at_and_after_the_first_repeat():
     x, xbar, z = REPEATING
+    # the first key match is t=31 with t=6, and each side's canonical first
+    # particle has the same index at both times, so the repeat is labelled:
+    # shifts s = s_bar = 0
     mu, lam = 6, 25
     assert run_coupled(x, xbar, z, BEFORE).cycle is None
-    assert run_coupled(x, xbar, z, AT).cycle == (mu, lam) and AT == mu + lam
-    assert run_coupled(x, xbar, z, MID_PERIOD).cycle == (mu, lam)
+    assert run_coupled(x, xbar, z, AT).cycle == (mu, lam, 0, 0) and AT == mu + lam
+    assert run_coupled(x, xbar, z, MID_PERIOD).cycle == (mu, lam, 0, 0)
     assert MID_PERIOD > mu + lam and (MID_PERIOD - mu) % lam
 
 
 @settings(max_examples=60)
-@given(coupled_cases(), st.integers(1, 150))
+@given(st.one_of(coupled_cases(), crowded_cases()), st.integers(1, 150))
 @example(REPEATING, BEFORE)
 @example(REPEATING, AT)
 @example(REPEATING, MID_PERIOD)
+@example(CROWDED, 60)
 def test_run_coupled_matches_fraction_loop(case, steps):
     # past the first repeat the run replays its period, so runs of up to 150
-    # steps check the replayed rows and final state against stepping them
+    # steps check the replayed rows and final state against stepping them;
+    # on crowded rings the repeat is often up to a relabelling, so v_gap_abs
+    # and the final state are read off a relabelled state of the period
     x, xbar, z = case
     rows, state, violations = coupled_oracle(x, xbar, z, steps)
     if violations:
@@ -318,12 +354,89 @@ def test_run_coupled_matches_fraction_loop(case, steps):
         assert_dump_matches(exc, state, violations)
         return
     diag = run_coupled(x, xbar, z, steps)
+    if case is CROWDED:
+        assert diag.cycle == (3, 1, 1, 1)
+        assert len({row[4] for row in diag.rows[4:]}) == 6
     assert diag.rows == rows
     assert all(type(row[4]) is Fraction for row in diag.rows)
     assert diag.final_state.pairing == state.pairing
     assert diag.final_state.x.unwrapped() == state.x.unwrapped()
     assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
+    assert diag.final_state.x.wait_remaining == state.x.wait_remaining
+    assert diag.final_state.xbar.wait_remaining == state.xbar.wait_remaining
     assert diag.final_state.z is z
+
+
+def relabelled(state, s, s_bar):
+    """state with x's particle i renamed from i + s and xbar's j from
+    j + s_bar, read cyclically: a lap on for each turn past the last
+    particle, so a shift by the count moves a side a lap."""
+
+    def side(sim, shift):
+        n = sim.count
+        old = [(i + shift) % n for i in range(n)]
+        return SimState(
+            [sim.reps[j] for j in old],
+            [sim.laps[j] + (i + shift) // n for i, j in enumerate(old)],
+            [sim.wait_remaining[j] for j in old],
+            sim.time,
+            sim.domain,
+        )
+
+    n, n_b = state.x.count, state.xbar.count
+    pairing = {(i - s) % n: (j - s_bar) % n_b for i, j in state.pairing.items()}
+    return CoupledState(side(state.x, s), side(state.xbar, s_bar), state.z, pairing, state.time)
+
+
+def canonical_key(state):
+    return _canonical_key(state, state.x.unwrapped(), state.xbar.unwrapped(), state.z.domain.length)[0]
+
+
+# Ring(2), every obstacle waiting 1 step. The state these reach at t=8 has
+# stacks on both sides, and the events of its next step are not order-free:
+# relabelling x by 2 or 3 changes the pairing the step leads to.
+RING2_RING = Ring(2)
+RING2 = (
+    thirds(RING2_RING, (0, 0, 1, 2, 3, 3, 4, 5)),
+    thirds(RING2_RING, (1, 2, 4, 4, 4, 4, 4, 5)),
+    ObstacleField(
+        (0, F(1, 4), F(1, 2), F(3, 4)), (1, 1, 1, 1), (F(1, 2), F(1, 2), F(1, 2), F(3, 2)), F(3, 2), RING2_RING
+    ),
+)
+
+
+@settings(max_examples=40)
+@given(coupled_cases(), st.integers(0, 30))
+@example(RING2, 8)
+def test_order_free_steps_commute_with_every_relabelling(case, steps):
+    # run_coupled replays a repeat up to a relabelling only across steps
+    # _order_free accepts; each such step must map every cyclic relabelling
+    # (s, s_bar) of its state to the same relabelling of its result. s_bar
+    # runs over two turns, so xbar also moves a lap against x, which must
+    # never change a step. The cycle key must be the same for them all.
+    x, xbar, z = case
+    state = CoupledState.initial(x, xbar, z)
+    for _ in range(steps):
+        state, _ = coupled_step(state)
+        if is_proper(state):
+            # run_coupled stops on a lost pair
+            return
+    after, events = coupled_step(state)
+    key = canonical_key(state)
+    changed = []
+    for s in range(x.count):
+        for s_bar in range(2 * xbar.count):
+            moved = relabelled(state, s, s_bar)
+            assert canonical_key(moved) == key
+            if coupled_step(moved)[0] != relabelled(after, s, s_bar):
+                changed.append((s, s_bar))
+    assert (0, 0) not in changed and (0, xbar.count) not in changed
+    order_free = _order_free(events, x.count, xbar.count)
+    assert not (order_free and changed)
+    if case is RING2:
+        # the check is needed: this step is refused, and rightly
+        assert not order_free
+        assert (2, 0) in changed and (3, 0) in changed
 
 
 def test_two_particle_cycle_worked_by_hand():
@@ -331,13 +444,14 @@ def test_two_particle_cycle_worked_by_hand():
     # speed 1. x goes 0, 1, 2 (the obstacle one lap on), ... and xbar goes
     # 1/2, 3/2, then stops at the obstacle, 2, where x meets it at t=2 and
     # pairs with it. From then both take one step of 1 per step, so the state
-    # at t=4 is that of t=2 one lap on: cycle (2, 2)
+    # at t=4 is that of t=2 one lap on. With one particle a side the only
+    # relabelling is the identity: cycle (2, 2, 0, 0)
     ring = Ring(2)
     z = ObstacleField((0,), (0,), (1,), 1, ring)
     x, xbar = ParticleConfig((0,), ring), ParticleConfig((F(1, 2),), ring)
     for steps in (3, 4, 9):
         diag = run_coupled(x, xbar, z, steps)
-        assert diag.cycle == (None if steps < 4 else (2, 2))
+        assert diag.cycle == (None if steps < 4 else (2, 2, 0, 0))
         assert diag.rows == [(1, 1, 1, 0, 0, 1)] + [(t, 0, 0, 1, F(1, 2), 1) for t in range(2, steps + 1)]
         assert diag.final_state.x.unwrapped() == diag.final_state.xbar.unwrapped() == (steps,)
         assert diag.final_state.x.laps == [steps // 2]
@@ -346,8 +460,10 @@ def test_two_particle_cycle_worked_by_hand():
 
 def test_run_coupled_matches_fraction_loop_on_criterion_10():
     # README's criterion-10 config (37 obstacles, 50+50 particles) at the
-    # benchmark's scale: many events per step, pairs born and re-dealt, and
-    # the defect count settled at 1+1 well before the end
+    # benchmark's length and twice it: many events per step, pairs born and
+    # re-dealt, and the defect count settled at 1+1 well before the end.
+    # The run stops at t=49, whose state is that of t=48 with each particle
+    # in its successor's place, and replays the rest, v_gap_abs included
     ring = Ring(100)
     z = poisson_obstacles(ring, 0.35, seed=13, quantize=100, velocity=4)
 
@@ -358,14 +474,16 @@ def test_run_coupled_matches_fraction_loop_on_criterion_10():
         )
 
     x, xbar = draw(21), draw(22)
-    rows, state, violations = coupled_oracle(x, xbar, z, 300)
-    assert violations is None
-    diag = run_coupled(x, xbar, z, 300)
-    assert diag.rows == rows
-    assert rows[-1][1:4] == (1, 1, 49)
-    assert diag.final_state.pairing == state.pairing
-    assert diag.final_state.x.unwrapped() == state.x.unwrapped()
-    assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
+    for steps in (150, 300):
+        rows, state, violations = coupled_oracle(x, xbar, z, steps)
+        assert violations is None
+        diag = run_coupled(x, xbar, z, steps)
+        assert diag.cycle == (48, 1, 1, 1)
+        assert diag.rows == rows
+        assert rows[-1][1:4] == (1, 1, 49)
+        assert diag.final_state.pairing == state.pairing
+        assert diag.final_state.x.unwrapped() == state.x.unwrapped()
+        assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
 
 
 def test_coupling_error_dump_in_input_units():

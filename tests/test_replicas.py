@@ -315,6 +315,19 @@ def test_ineligible_batch_runs_each_replica_alone(monkeypatch):
     assert got[0].snapshots != got[1].snapshots
 
 
+def test_a_batch_checks_its_field_once(monkeypatch):
+    # the field is the same for every replica, so an eligible batch of three
+    # checks it once and each replica's own values once
+    z = as_float(ObstacleField((0, 4, 8), (0, 0, 0), (1, 1, 1), 1, Ring(12)))
+    calls = []
+    for name in ("_fast_field", "_fast_state"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    states = [SimState.initial(ParticleConfig.equispaced(z.domain, n, 0.25)) for n in (3, 6, 9)]
+    assert len(list(run(Replicas(states), z, 5))) == 3
+    assert sorted(calls) == ["_fast_field"] + ["_fast_state"] * 3
+
+
 def test_empty_batch_gives_no_summaries():
     z = ObstacleField.empty(Ring(6.0), 1.0)
     assert list(run(Replicas(()), z, 5)) == []
