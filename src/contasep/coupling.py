@@ -84,11 +84,8 @@ class OvertakeEvent:
     other than the mover when the event was processed (None if none were);
     repair_target is the index the pairing rules select for (re)pairing: the
     largest overtaken index below the anchor that is free or held by the mover
-    itself, over the whole block when there is no anchor. held_by is each
-    overtaken particle's partner, the mover for a free one, and partner the
-    mover's own partner (None for a defect), both as the event found them.
-    All four are filled in by apply_pairing, since they depend on the live
-    pairing.
+    itself, over the whole block when there is no anchor. Both are filled in
+    by apply_pairing, since they depend on the live pairing.
     """
 
     side: str
@@ -96,8 +93,6 @@ class OvertakeEvent:
     overtaken: tuple
     paired_anchor: Optional[int] = None
     repair_target: Optional[int] = None
-    held_by: Optional[list] = None
-    partner: Optional[int] = None
 
     def __post_init__(self):
         if self.side not in ("x", "xbar"):
@@ -237,7 +232,14 @@ def apply_pairing(
     unwrapped: Optional[tuple] = None,
     inverse: Optional[dict] = None,
 ) -> CoupledState:
-    """Run the pairing rules over the events, in order, against the live pairing.
+    """Run the pairing rules over the events against the live pairing.
+
+    The first process's events run first, then the second's. On a ring each
+    side's events run in cyclic mover order from the side's _canonical_start,
+    the tail of the stack at its least rep; on a line in mover order, which is
+    position order. Either way the order is read off positions, not labels,
+    so the step maps every cyclic relabelling and whole-lap shift of each
+    side of its state to the same relabelling and shift of its result.
 
     For a mover that is already paired: if a repair target exists, the mover
     abandons its partner (which becomes a defect) and pairs with the target.
@@ -265,8 +267,17 @@ def apply_pairing(
         return state
     fwd = dict(state.pairing)
     inv = {j: i for i, j in fwd.items()} if inverse is None else inverse
+    # each side's events from its first particle by position (see above)
+    n_x, n_b = len(u_x), len(u_b)
+    c_x = c_b = 0
+    if events and period is not None:
+        c_x = _canonical_start(state.x.reps, u_x, period)
+        c_b = _canonical_start(state.xbar.reps, u_b, period)
 
-    for ev in events:
+    def order(ev):
+        return (0, (ev.mover - c_x) % n_x) if ev.side == "x" else (1, (ev.mover - c_b) % n_b)
+
+    for ev in sorted(events, key=order):
         if ev.side == "x":
             mine, theirs = fwd, inv
             u_mover, u_other = u_x, u_b
@@ -275,19 +286,16 @@ def apply_pairing(
             u_mover, u_other = u_b, u_x
         i = ev.mover
         n = len(u_other)
-        # each overtaken particle's partner, the mover for a free one; the
-        # overtaken indices ascend, so every one below the anchor is free
-        held = [theirs.get(m % n, i) for m in ev.overtaken]
+        # the overtaken indices ascend, so every one below the anchor is free
+        # or held by the mover
         anchor = target = None
-        for m, h in zip(ev.overtaken, held):
-            if h != i:
+        for m in ev.overtaken:
+            if theirs.get(m % n, i) != i:
                 anchor = m
                 break
             target = m
         ev.paired_anchor = anchor
         ev.repair_target = target
-        ev.held_by = held
-        ev.partner = mine.get(i)
 
         if i in mine:
             if target is not None:
@@ -322,33 +330,6 @@ def apply_pairing(
             raise InvariantViolationError("pairing maps fell out of sync")
     # maps in sync make the pairing one-to-one, so it is not checked again
     return state._with(pairing=fwd)
-
-
-def _order_free(events, n_x: int, n_b: int) -> bool:
-    """Whether apply_pairing, which ran these events on sides of n_x and n_b
-    particles, would give the same pairing from any order of each side's
-    events: on each side no two of them touch one pairing entry.
-
-    An event reads and writes only the entries it touches: on its own side
-    the mover and the partners of the particles it overtook, on the other
-    side those particles and the mover's partner. So events that touch
-    disjoint entries commute. A relabelled state runs each side's events
-    in a rotated mover order, and the stack re-deal reads positions only,
-    so a step whose events are order-free maps every cyclic relabelling of
-    its state to the same relabelling of its result.
-    """
-    seen = {"x": (set(), set(), n_b), "xbar": (set(), set(), n_x)}
-    for ev in events:
-        own, other, n = seen[ev.side]
-        mine = {ev.mover, *ev.held_by}
-        theirs = {m % n for m in ev.overtaken}
-        if ev.partner is not None:
-            theirs.add(ev.partner)
-        if not own.isdisjoint(mine) or not other.isdisjoint(theirs):
-            return False
-        own |= mine
-        other |= theirs
-    return True
 
 
 def _stack_depths(u, period):
@@ -484,13 +465,14 @@ class CouplingDiagnostics:
     v_gap_abs is |displacement difference of particle 0| up to time t.
     cycle: (mu, lam, s, s_bar) when the coupled state at mu + lam repeated
     the one at mu up to a cyclic relabelling and a whole-lap shift of each
-    side, the first repeat of the run: each particle i of x stands where
-    particle i + s stood lam steps before, and each particle j of xbar where
-    particle j + s_bar stood, the index read cyclically and one lap on past
-    the last particle. Every later state then repeats the state lam steps
-    before it in the same way, and the labelled state, up to whole laps,
-    with period lam * lcm(n / gcd(n, s), n / gcd(n, s_bar)). None if the run
-    ended before a repeat.
+    side, the first repeat of the run, whatever its shifts: each particle i
+    of x stands where particle i + s stood lam steps before, and each
+    particle j of xbar where particle j + s_bar stood, the index read
+    cyclically and one lap on past the last particle. Every step commutes
+    with such a relabelling, so every later state repeats the state lam
+    steps before it in the same way, and the labelled state, up to whole
+    laps, with period lam * lcm(n / gcd(n, s), n / gcd(n, s_bar)). None if
+    the run ended before a repeat.
     """
 
     rows: list
@@ -526,15 +508,13 @@ def run_coupled(
     turns periodic. Each state is kept as a _canonical_key in a dict, which
     matches keys by equality, never by hash alone. Let the state at t match
     the one at mu: it is R of it, R relabelling each side and moving it on
-    by whole laps. The step rule, the overtake ranks, the stack re-deal and
-    the checks read positions on the covering line only, so they commute
-    with R, and so does the pairing whenever a step's events are
-    _order_free. So if the match is labelled (R only moves laps), or every
-    step from mu to t was order-free, each later state is R of the state
-    t - mu steps before it, already stepped and checked. The run then stops
-    stepping: later rows are the period's rows renumbered, with v_gap_abs
-    read off R^q of the state at the same phase, and so is the final state.
-    A match that passes neither test is passed over, and the run steps on.
+    by whole laps. The step rule, the overtake ranks, the pairing (whose
+    event order apply_pairing reads off positions), the stack re-deal and
+    the checks all read positions on the covering line only, so they commute
+    with R, and each later state is R of the state t - mu steps before it,
+    already stepped and checked. The run stops stepping at the first match:
+    later rows are the period's rows renumbered, with v_gap_abs read off R^q
+    of the state at the same phase, and so is the final state.
     """
     if not isinstance(x.domain, Ring):
         raise ConfigurationError("coupled runs require a ring domain")
@@ -560,12 +540,10 @@ def run_coupled(
     start_x, start_b = u_x[0], u_b[0]
     inverse = {}
     rows = []
-    # per step from t=0: its key, its marks and the events that led to it;
-    # per key, the steps that had it
+    # per step from t=0: its key and its marks; per key, the step that had it
     key, mark = _canonical_key(state, u_x, u_b, period)
-    keys, marks, history = [key], [mark], [[]]
-    seen = {key: [0]}
-    n = state.x.count
+    keys, marks = [key], [mark]
+    seen = {key: 0}
     cycle = None
 
     for t in range(1, steps + 1):
@@ -577,7 +555,6 @@ def run_coupled(
             prev, state, unwrapped=(prev_x, u_x, prev_b, u_b), ranks=(prev_rx, r_x, prev_rb, r_b)
         )
         state = apply_pairing(state, events, unwrapped=(u_x, u_b), inverse=inverse)
-        history.append(events)
 
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
@@ -597,23 +574,18 @@ def run_coupled(
         rows.append((t, d_x, d_b, state.pair_count, v_gap_abs, 1))
 
         key, mark = _canonical_key(state, u_x, u_b, period)
-        earlier = seen.setdefault(key, [])
-        for mu in earlier:
+        mu = seen.setdefault(key, t)
+        if mu < t:
             # how far R moves each side's start and base laps
-            moves = [b - a for a, b in zip(marks[mu], mark)]
-            labelled = moves[0] == moves[1] == 0
-            if labelled or all(_order_free(history[s], n, n) for s in range(mu + 1, t + 1)):
-                cycle = mu, moves
-                break
-        if cycle is not None:
+            cycle = mu, [b - a for a, b in zip(marks[mu], mark)]
             break
-        earlier.append(t)
         keys.append(key)
         marks.append(mark)
 
     if cycle is not None:
         mu, moves = cycle
         lam = t - mu
+        n = state.x.count
 
         def at(tau):
             """The key of the state at tau and its marks: those of the state

@@ -32,7 +32,7 @@ from contasep import (
     step,
 )
 from contasep.core import INFINITY, to_lattice
-from contasep.coupling import _canonical_key, _order_free
+from contasep.coupling import _canonical_key
 from contasep.dynamics import default_intervals
 from contasep.scenarios import poisson_obstacles
 
@@ -59,11 +59,11 @@ def particles(domain, width, max_size=6, min_size=1):
 
 
 @st.composite
-def ring_cases(draw, max_size=6):
+def ring_cases(draw, max_size=6, max_wait=2):
     half = draw(st.integers(8, 20))
     ring = Ring(F(half, 2))
     width = half // 2
-    return draw(particles(ring, width, max_size)), draw(fields(ring, width))
+    return draw(particles(ring, width, max_size)), draw(fields(ring, width, max_wait))
 
 
 @st.composite
@@ -279,8 +279,8 @@ def thirds(ring, picks):
 
 
 @st.composite
-def coupled_cases(draw):
-    x, z = draw(ring_cases(max_size=5))
+def coupled_cases(draw, max_wait=2):
+    x, z = draw(ring_cases(max_size=5, max_wait=max_wait))
     width = int(x.domain.length)
     picks = draw(st.lists(st.integers(0, 3 * width - 1), min_size=x.count, max_size=x.count))
     return x, thirds(x.domain, picks), z
@@ -322,6 +322,26 @@ CROWDED = (
     ObstacleField((F(5, 4), 4, F(19, 4)), (0, 0, 0), (1, 1, F(3, 2)), F(3, 2), CROWDED_RING),
 )
 
+# A waited ring on which the pairing order decides the output. In the step
+# to t=5, x4 leaves xbar 2 for xbar 3, so xbar 2 is a defect when the xbar
+# events run: xbar 2 reaches x5 at 7/2 without passing it, and xbar 4, x5's
+# partner, passes the defect x6 to 9/2. xbar's canonical start at t=5 is 4,
+# the tail of the stack at 9/2, its least rep 1/2 one lap on, so the events
+# run 4, then 7, then 2. xbar 4 leaves x5 for x6, and xbar 2 then pairs with
+# the freed x5: all 8 paired, row (5, 0, 0, 8). Run from particle 0, xbar 2
+# came first and found x5 held, which left both defects until t=6: row
+# (5, 1, 1, 7). Both orders reach one state at t=6, which repeats labelled
+# at t=15, so the first repeat was (6, 9, 0, 0). Now the fully paired state
+# at t=5 is already that of t=14: cycle (5, 9, 0, 0).
+RING4_RING = Ring(4)
+RING4 = (
+    thirds(RING4_RING, (1, 1, 3, 3, 6, 7, 10, 11)),
+    thirds(RING4_RING, (4, 5, 6, 6, 8, 8, 10, 11)),
+    ObstacleField(
+        (F(1, 2), F(5, 4), F(3, 2), F(5, 2), F(7, 2)), (1, 0, 0, 2, 1), (1, F(3, 2), 1, 1, 1), F(3, 2), RING4_RING
+    ),
+)
+
 
 def test_pinned_runs_end_before_at_and_after_the_first_repeat():
     x, xbar, z = REPEATING
@@ -341,6 +361,7 @@ def test_pinned_runs_end_before_at_and_after_the_first_repeat():
 @example(REPEATING, AT)
 @example(REPEATING, MID_PERIOD)
 @example(CROWDED, 60)
+@example(RING4, 30)
 def test_run_coupled_matches_fraction_loop(case, steps):
     # past the first repeat the run replays its period, so runs of up to 150
     # steps check the replayed rows and final state against stepping them;
@@ -365,6 +386,50 @@ def test_run_coupled_matches_fraction_loop(case, steps):
     assert diag.final_state.x.wait_remaining == state.x.wait_remaining
     assert diag.final_state.xbar.wait_remaining == state.xbar.wait_remaining
     assert diag.final_state.z is z
+
+
+def test_waited_pairing_order_is_read_off_positions():
+    diag = run_coupled(*RING4, 30)
+    assert [row[:4] for row in diag.rows[3:6]] == [(4, 1, 1, 7), (5, 0, 0, 8), (6, 0, 0, 8)]
+    assert diag.cycle == (5, 9, 0, 0)
+
+
+def rotated(case, k):
+    """case with every particle and obstacle moved k/12 on round its ring,
+    the obstacles re-sorted with their waits and speeds."""
+    x, xbar, z = case
+    ring = x.domain
+
+    def move(p):
+        return (p + F(k, 12)) % ring.length
+
+    order = sorted(range(z.count), key=lambda i: move(z.positions[i]))
+    field = ObstacleField(
+        tuple(move(z.positions[i]) for i in order),
+        tuple(z.waits[i] for i in order),
+        tuple(z.velocities[i] for i in order),
+        z.top_speed,
+        ring,
+    )
+    return (
+        ParticleConfig.from_iterable(map(move, x.positions), ring),
+        ParticleConfig.from_iterable(map(move, xbar.positions), ring),
+        field,
+    )
+
+
+@settings(max_examples=40)
+@given(st.one_of(coupled_cases(max_wait=0), crowded_cases()), st.integers(1, 150), st.data())
+def test_wait_free_coupled_runs_do_not_depend_on_the_rings_origin(case, steps, data):
+    # particles sit on thirds and obstacles on quarters, so a shift by k/12
+    # keeps the lattice. It relabels the particles that pass the origin;
+    # v_gap_abs follows particle 0, so it is left out, as are the shifts
+    # (s, s_bar), which name particles
+    k = data.draw(st.integers(1, int(12 * case[0].domain.length) - 1))
+    diag, moved = run_coupled(*case, steps), run_coupled(*rotated(case, k), steps)
+    assert [row[1:4] for row in moved.rows] == [row[1:4] for row in diag.rows]
+    assert moved.verdict == diag.verdict
+    assert (moved.cycle and moved.cycle[:2]) == (diag.cycle and diag.cycle[:2])
 
 
 def relabelled(state, s, s_bar):
@@ -393,8 +458,11 @@ def canonical_key(state):
 
 
 # Ring(2), every obstacle waiting 1 step. The state these reach at t=8 has
-# stacks on both sides, and the events of its next step are not order-free:
-# relabelling x by 2 or 3 changes the pairing the step leads to.
+# stacks on both sides, and two x events of its next step touch one pair:
+# x1 passes xbar 2, the partner of x3, which moves too.
+# While apply_pairing ran each side's events in mover order from particle 0,
+# relabelling x by 2 or 3 changed the pairing that step leads to; from each
+# side's canonical start it does not.
 RING2_RING = Ring(2)
 RING2 = (
     thirds(RING2_RING, (0, 0, 1, 2, 3, 3, 4, 5)),
@@ -406,14 +474,13 @@ RING2 = (
 
 
 @settings(max_examples=40)
-@given(coupled_cases(), st.integers(0, 30))
+@given(st.one_of(coupled_cases(), crowded_cases()), st.integers(0, 30))
 @example(RING2, 8)
-def test_order_free_steps_commute_with_every_relabelling(case, steps):
-    # run_coupled replays a repeat up to a relabelling only across steps
-    # _order_free accepts; each such step must map every cyclic relabelling
-    # (s, s_bar) of its state to the same relabelling of its result. s_bar
-    # runs over two turns, so xbar also moves a lap against x, which must
-    # never change a step. The cycle key must be the same for them all.
+def test_every_step_commutes_with_every_relabelling(case, steps):
+    # run_coupled replays its first repeat up to a relabelling, so each step
+    # must map every cyclic relabelling (s, s_bar) of its state to the same
+    # relabelling of its result. s_bar runs over two turns, so xbar also
+    # moves a lap against x. The cycle key must be the same for them all.
     x, xbar, z = case
     state = CoupledState.initial(x, xbar, z)
     for _ in range(steps):
@@ -421,7 +488,7 @@ def test_order_free_steps_commute_with_every_relabelling(case, steps):
         if is_proper(state):
             # run_coupled stops on a lost pair
             return
-    after, events = coupled_step(state)
+    after, _ = coupled_step(state)
     key = canonical_key(state)
     changed = []
     for s in range(x.count):
@@ -430,13 +497,7 @@ def test_order_free_steps_commute_with_every_relabelling(case, steps):
             assert canonical_key(moved) == key
             if coupled_step(moved)[0] != relabelled(after, s, s_bar):
                 changed.append((s, s_bar))
-    assert (0, 0) not in changed and (0, xbar.count) not in changed
-    order_free = _order_free(events, x.count, xbar.count)
-    assert not (order_free and changed)
-    if case is RING2:
-        # the check is needed: this step is refused, and rightly
-        assert not order_free
-        assert (2, 0) in changed and (3, 0) in changed
+    assert changed == []
 
 
 def test_two_particle_cycle_worked_by_hand():
