@@ -43,9 +43,9 @@ from .dynamics import (
     InvariantChecker,
     Replicas,
     SimState,
-    StepReport,
     TrajectorySummary,
     TrajectoryWriter,
+    displacements,
     local_velocity,
     run,
     step,

@@ -26,7 +26,7 @@ from .core import (
     Ring,
     to_lattice,
 )
-from .dynamics import SimState, _step_scalar
+from .dynamics import SimState, _step_scalar, _Unscale
 
 
 @dataclass
@@ -548,7 +548,7 @@ def run_coupled(
 
     for t in range(1, steps + 1):
         prev, prev_x, prev_b, prev_rx, prev_rb = state, u_x, u_b, r_x, r_b
-        state = prev._with(x=_step_scalar(prev.x, z_work)[0], xbar=_step_scalar(prev.xbar, z_work)[0], time=t)
+        state = prev._with(x=_step_scalar(prev.x, z_work), xbar=_step_scalar(prev.xbar, z_work), time=t)
         u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
         r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
         events = detect_overtakes(
@@ -693,9 +693,6 @@ def _from_canonical_key(
 
 def _in_input_units(state: CoupledState, z: ObstacleField, scale: int) -> CoupledState:
     """A lattice state (positions times scale) as a state on z."""
-
-    def side(s: SimState) -> SimState:
-        reps = [Fraction(r, scale) for r in s.reps]
-        return SimState(reps, list(s.laps), list(s.wait_remaining), s.time, z.domain)
-
-    return CoupledState(side(state.x), side(state.xbar), z, dict(state.pairing), state.time)
+    unscale = _Unscale(scale)
+    x, xbar = (unscale.state(s, z.domain) for s in (state.x, state.xbar))
+    return CoupledState(x, xbar, z, dict(state.pairing), state.time)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from math import ceil
 from operator import eq
 from fractions import Fraction
@@ -82,39 +81,20 @@ class SimState:
         )
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """Everything one step did, for observers.
-
-    length is the ring's length, None on a line.
-    """
-
-    time: int
-    reps_before: tuple
-    laps_before: tuple
-    reps_after: tuple
-    laps_after: tuple
-    length: Scalar | None
-    blocked: tuple
-    hits: tuple
-    v_caps: tuple
-
-    @cached_property
-    def displacements(self) -> tuple:
-        # built on first read: the coupled loop never reads it
-        before, after = self.reps_before, self.reps_after
-        if self.length is None:
-            return tuple(a - b for a, b in zip(after, before))
-        length = self.length
-        return tuple(
-            (la - lb) * length + a - b
-            for a, b, la, lb in zip(after, before, self.laps_after, self.laps_before)
-        )
+def displacements(before: SimState, after: SimState) -> tuple:
+    """Each particle's move from before to after, unwrapped."""
+    if not isinstance(before.domain, Ring):
+        return tuple(a - b for a, b in zip(after.reps, before.reps))
+    length = before.domain.length
+    return tuple(
+        (la - lb) * length + a - b
+        for a, b, la, lb in zip(after.reps, before.reps, after.laps, before.laps)
+    )
 
 
-def _step_scalar(state: SimState, z: ObstacleField) -> tuple:
-    """One step of every particle: returns (the next state, the step's
-    report) and writes nothing to state or its lists.
+def _step_scalar(state: SimState, z: ObstacleField) -> SimState:
+    """One step of every particle: returns the next state and writes nothing
+    to state or its lists.
 
     Each particle's candidates, the next obstacle strictly ahead, its
     neighbour's old position and p + its segment speed, are compared as
@@ -133,48 +113,30 @@ def _step_scalar(state: SimState, z: ObstacleField) -> tuple:
     new_reps = list(reps)
     new_laps = list(laps)
     new_waiting = list(waiting)
-    blocked = [False] * n
-    hits = [-1] * n
-    v_caps = [None] * n
 
     for i in range(n):
-        p = reps[i]
-        k = bisect_right(positions, p)
-        v_caps[i] = v = speed[k]
         if waiting[i] > 0:
             new_waiting[i] = waiting[i] - 1
-            blocked[i] = True
             continue
+        p = reps[i]
+        k = bisect_right(positions, p)
         w, r, obstacle = ahead_laps[k], ahead[k], True
         gw, gr = next_laps[i] - laps[i], next_reps[i]
         if gw < w or (gw == w and gr < r):
             w, r, obstacle = gw, gr, False
-        sw, sr = 0, p + v
+        sw, sr = 0, p + speed[k]
         if length is not None and sr >= length:
             sw, sr = 1, sr - length
         if sw < w or (sw == w and sr < r):
             w, r, obstacle = sw, sr, False
         if w == 0 and r == p:
-            blocked[i] = True
             continue
         new_reps[i] = r
         new_laps[i] += w
         if obstacle:
-            hits[i] = j = land[k] - 1
-            new_waiting[i] = waits[j]
+            new_waiting[i] = waits[land[k] - 1]
 
-    report = StepReport(
-        state.time,
-        tuple(reps),
-        tuple(laps),
-        tuple(new_reps),
-        tuple(new_laps),
-        length,
-        tuple(blocked),
-        tuple(hits),
-        tuple(v_caps),
-    )
-    return SimState(new_reps, new_laps, new_waiting, state.time + 1, state.domain), report
+    return SimState(new_reps, new_laps, new_waiting, state.time + 1, state.domain)
 
 
 step = _step_scalar
@@ -184,7 +146,7 @@ def local_velocity(state: SimState, z: ObstacleField, i: int) -> Scalar:
     """What step would move particle i right now, without moving anything."""
     if not 0 <= i < state.count:
         raise IndexError(f"particle index {i} out of range 0..{state.count - 1}")
-    return step(state, z)[1].displacements[i]
+    return displacements(state, step(state, z))[i]
 
 
 def default_intervals(domain: Domain) -> tuple:
@@ -218,12 +180,13 @@ def _count_in(reps: Sequence, a, b) -> int:
 
 
 class InvariantChecker:
-    """Observer that re-derives the per-step invariants from each report.
+    """Observer that re-derives the per-step invariants from the states
+    before and after each step.
 
     Records violation messages instead of raising so a run can be audited
-    whole. It reads the engines' lookup, z.table, through z.next_ahead, but
-    recomputes each distance to the next obstacle from the position before
-    the step, independently of the branch the engine chose.
+    whole. It reads the engines' lookup, z.table, at each position before
+    the step: the segment speed there caps the move, and the distance to the
+    next obstacle bounds it. Neither trusts the branch the engine chose.
     """
 
     def __init__(self, z: ObstacleField):
@@ -231,24 +194,25 @@ class InvariantChecker:
         self.intervals = default_intervals(z.domain)
         self.violations: list = []
 
-    def __call__(self, report: StepReport) -> None:
+    def __call__(self, before: SimState, after: SimState) -> None:
         z = self.z
         ring = isinstance(z.domain, Ring)
         length = z.domain.length if ring else None
-        n = len(report.reps_before)
-        tol = _tolerance(report.reps_before[:1])
-        t = report.time
-        for i in range(n):
-            xi = report.displacements[i]
+        speed, ahead, ahead_laps, _ = z.table
+        n = before.count
+        tol = _tolerance(before.reps[:1])
+        t = before.time
+        for i, (p, xi) in enumerate(zip(before.reps, displacements(before, after))):
+            k = bisect_right(z.positions, p)
             if xi < -tol:
                 self.violations.append(f"t={t} i={i}: negative displacement {xi}")
-            if xi > report.v_caps[i] + tol:
-                self.violations.append(f"t={t} i={i}: displacement {xi} above cap {report.v_caps[i]}")
-            d_obs, _ = z.next_ahead(report.reps_before[i])
+            if xi > speed[k] + tol:
+                self.violations.append(f"t={t} i={i}: displacement {xi} above cap {speed[k]}")
+            d_obs = ahead[k] + length - p if ahead_laps[k] else ahead[k] - p
             if d_obs != INFINITY and xi > d_obs + tol:
                 self.violations.append(f"t={t} i={i}: obstacle barrier crossed by {xi - d_obs}")
         if ring:
-            u_after = [l * length + r for l, r in zip(report.laps_after, report.reps_after)]
+            u_after = after.unwrapped()
             for i in range(n - 1):
                 if u_after[i] > u_after[i + 1] + tol:
                     self.violations.append(f"t={t} i={i}: order broken")
@@ -256,31 +220,27 @@ class InvariantChecker:
                 self.violations.append(f"t={t}: ring seam order broken")
         else:
             for i in range(n - 1):
-                if report.reps_after[i] > report.reps_after[i + 1] + tol:
+                if after.reps[i] > after.reps[i + 1] + tol:
                     self.violations.append(f"t={t} i={i}: order broken")
         for a, b in self.intervals:
-            delta = _count_in(report.reps_after, a, b) - _count_in(report.reps_before, a, b)
+            delta = _count_in(after.reps, a, b) - _count_in(before.reps, a, b)
             if abs(delta) > 1:
                 self.violations.append(f"t={t}: interval [{a},{b}) count jumped by {delta}")
 
 
 class TrajectoryWriter:
-    """Observer collecting trajectory CSV rows: t, particle, position, displacement, blocked."""
+    """Observer collecting trajectory CSV rows: t, particle, position, displacement, blocked.
+
+    A particle is blocked when it did not move: a waiting or stopped
+    particle keeps its rep and laps, and every move changes one of them.
+    """
 
     def __init__(self):
         self.rows: list = []
 
-    def __call__(self, report: StepReport) -> None:
-        for i in range(len(report.reps_after)):
-            self.rows.append(
-                (
-                    report.time + 1,
-                    i,
-                    report.reps_after[i],
-                    report.displacements[i],
-                    int(report.blocked[i]),
-                )
-            )
+    def __call__(self, before: SimState, after: SimState) -> None:
+        for i, (r, d) in enumerate(zip(after.reps, displacements(before, after))):
+            self.rows.append((after.time, i, r, d, int(d == 0)))
 
 
 @dataclass
@@ -658,8 +618,9 @@ def run(
     repeats up to a relabelling of the particles, and replays the rest of
     the run exactly (TrajectorySummary.cycle).
     Exact input is stepped as integers on its lattice (see to_lattice);
-    snapshots, observer reports and the final state come back in input
-    units as Fractions.
+    snapshots and the final state come back in input units as Fractions.
+    Each observer is called as obs(before, after) on each step's states:
+    copies in input units, which the run never steps from.
 
     A Replicas batch gives an iterator of one TrajectorySummary per replica,
     in order, each built as it is reached. Without observers, replicas that
@@ -700,18 +661,21 @@ def run(
         work = SimState(list(reps), state.laps, state.wait_remaining, state.time, domain)
         unscale = _Unscale(scale)
     snapshots = {0: unscale(work.unwrapped())}
+    # observers see copies in input units, so none of them can change the run
+    after = state.copy()
     try:
         for t in range(steps):
-            work, report = _step_scalar(work, z_work)
-            if observers and lattice is not None:
-                report = unscale.report(report)
-            for obs in observers:
-                try:
-                    obs(report)
-                except Exception as exc:
-                    raise ObserverError(
-                        f"observer {type(obs).__name__} failed at t={report.time}: {exc}"
-                    ) from exc
+            work = _step_scalar(work, z_work)
+            if observers:
+                before = after
+                after = work.copy() if lattice is None else unscale.state(work, state.domain)
+                for obs in observers:
+                    try:
+                        obs(before, after)
+                    except Exception as exc:
+                        raise ObserverError(
+                            f"observer {type(obs).__name__} failed at t={before.time}: {exc}"
+                        ) from exc
             if t + 1 in snapshot_at:
                 snapshots[t + 1] = unscale(work.unwrapped())
     finally:
@@ -724,7 +688,7 @@ class _Unscale:
     """Lattice ints back to input units, Fraction(v, scale), remembered per value.
 
     A run revisits few values (obstacles, speeds, positions on a ring), so
-    observer reports look most of them up instead of building a Fraction.
+    observer states look most of them up instead of building a Fraction.
     """
 
     _LIMIT = 1 << 16
@@ -745,15 +709,6 @@ class _Unscale:
             out.append(f)
         return tuple(out)
 
-    def report(self, r: StepReport) -> StepReport:
-        return StepReport(
-            r.time,
-            self(r.reps_before),
-            r.laps_before,
-            self(r.reps_after),
-            r.laps_after,
-            None if r.length is None else Fraction(r.length, self.scale),
-            r.blocked,
-            r.hits,
-            self(r.v_caps),
-        )
+    def state(self, s: SimState, domain: Domain) -> SimState:
+        """Lattice state s in input units, on domain."""
+        return SimState(list(self(s.reps)), list(s.laps), list(s.wait_remaining), s.time, domain)

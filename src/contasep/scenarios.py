@@ -210,7 +210,7 @@ def run_half_integer(steps: int = 100) -> ScenarioResult:
     worst = 1
     rows = []
     for t in range(1, steps + 1):
-        state = _step_scalar(state, z)[0]
+        state = _step_scalar(state, z)
         denom = max(
             p.denominator if isinstance(p, Fraction) else 1 for p in state.reps
         )

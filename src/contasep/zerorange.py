@@ -201,7 +201,7 @@ def embed_and_compare(x: ParticleConfig, steps: int) -> EquivalenceReport:
     field = ObstacleField.empty(x.domain, 1)
     state = SimState.initial(x)
     for t in range(1, steps + 1):
-        state = _step_scalar(state, field)[0]
+        state = _step_scalar(state, field)
         zr = zr_step(zr) if ring else zr_step_tracked(zr)
         if ring:
             occ_now = [0] * length

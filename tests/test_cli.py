@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import os
 import re
@@ -150,6 +151,54 @@ def test_simulate_zero_particles_degenerate(tmp_path, mode, trajectory):
     assert read_csv(out / "trajectory.csv") == (("t", "particle_index", "position", "displacement", "blocked_flag"), [])
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert summary == {"V_mean": None, "V_spread": None, "phase": None, "V_predicted": None, "steps": 5}
+
+
+# Criterion 9's waited Ring(24) through simulate, trajectory on: exact, and
+# in fast mode at speed 0.7, whose float moves come out as 0.7000000000000002
+# and the like. The fields have waits, so both run the scalar engine with
+# TrajectoryWriter. The digests pin the files' bytes, blocked flags included.
+GOLDEN_FIELD = {
+    "positions": [str(k) for k in range(0, 24, 3)],
+    "waits": [1, 0, 0, 0, 1, 0, 0, 0],
+    "top_speed": "1",
+}
+GOLDEN_EXACT_CFG = {
+    "domain": {"kind": "ring", "length": "24"},
+    "obstacles": {**GOLDEN_FIELD, "velocities": ["1", "1/2"] * 4},
+    "particles": {"equispaced": {"count": 10, "offset": "1/4"}},
+    "steps": 60,
+}
+GOLDEN_FAST_CFG = {
+    **GOLDEN_EXACT_CFG,
+    "mode": "fast",
+    "obstacles": {**GOLDEN_FIELD, "velocities": ["0.7"] * 8},
+    "particles": {"equispaced": {"count": 10, "offset": "0.1"}},
+}
+GOLDEN = {
+    "exact": (
+        GOLDEN_EXACT_CFG,
+        "52fbe7c9962988ed86e3a404446be02ed3b46ca18316ce3ed3adcf4bba5ba9b1",
+        "c7af7bd24feec4b456903625b75bca1e5f6f028617e10f41f9dd8e67e9a4f03d",
+    ),
+    "fast": (
+        GOLDEN_FAST_CFG,
+        "0c065480e1e56463874fcba723a5daea8c9eee63eff32a0fab0bb69486bb7b35",
+        "fccab4eed967062cc822ce9245bef05111d368be692504481ed5884aa49b3308",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_simulate_output_bytes_are_pinned(tmp_path, mode):
+    payload, trajectory_sha, summary_sha = GOLDEN[mode]
+    out = tmp_path / mode
+    assert main(["simulate", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "trajectory.csv")
+    assert any(row[4] == "1" for row in rows)
+    if mode == "fast":
+        assert any(row[3] == "0.7000000000000002" for row in rows)
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert (digest("trajectory.csv"), digest("simulate_summary.json")) == (trajectory_sha, summary_sha)
 
 
 def test_extend_outputs(tmp_path):

@@ -49,8 +49,8 @@ def coupled(x_pos, xbar_pos, z, pairing=None, domain=HALF_LINE):
 
 def advance(state):
     prev = state.copy()
-    state.x = _step_scalar(state.x, state.z)[0]
-    state.xbar = _step_scalar(state.xbar, state.z)[0]
+    state.x = _step_scalar(state.x, state.z)
+    state.xbar = _step_scalar(state.xbar, state.z)
     state.time += 1
     return prev, state
 

@@ -16,6 +16,7 @@ from contasep import (
     SimState,
     TrajectoryWriter,
     build_extended,
+    displacements,
     gap,
     local_velocity,
     refine_waiting,
@@ -49,7 +50,7 @@ def test_single_particle_obstacle_truncates_one_step():
     state = SimState.initial(ParticleConfig.from_iterable((0,), HALF_LINE))
     seen = [positions_of(state)[0]]
     for _ in range(4):
-        state, _ = step(state, z)
+        state = step(state, z)
         seen.append(positions_of(state)[0])
     assert seen == [0, 2, 3, 5, 7]
 
@@ -57,21 +58,21 @@ def test_single_particle_obstacle_truncates_one_step():
 def test_trailing_particle_blocked_once_then_follows():
     z = ObstacleField.empty(HALF_LINE, 2)
     state = SimState.initial(ParticleConfig.from_iterable((0, 1), HALF_LINE))
-    state, _ = step(state, z)
+    state = step(state, z)
     assert positions_of(state) == (1, 3)
-    state, _ = step(state, z)
+    state = step(state, z)
     assert positions_of(state) == (3, 5)
-    state, _ = step(state, z)
+    state = step(state, z)
     assert gap(state.config(), 0) == 2
 
 
 def test_step_leaves_input_untouched():
     z = ObstacleField.empty(HALF_LINE, 1)
     state = SimState.initial(ParticleConfig.from_iterable((0,), HALF_LINE))
-    after, report = step(state, z)
+    after = step(state, z)
     assert positions_of(state) == (0,)
     assert positions_of(after) == (1,)
-    assert report.displacements == (1,)
+    assert displacements(state, after) == (1,)
 
 
 def test_run_zero_steps_zero_displacement():
@@ -101,14 +102,14 @@ def test_ring_long_run_mean_velocity_hits_flow_law():
 def test_waiting_service_holds_particle_in_place():
     z = make_field((3,), HALF_LINE, waits=(2,))
     state = SimState.initial(ParticleConfig.from_iterable((F(5, 2),), HALF_LINE))
-    state, _ = step(state, z)          # lands on the obstacle, enqueues
+    state = step(state, z)             # lands on the obstacle, enqueues
     assert positions_of(state) == (3,)
     assert local_velocity(state, z, 0) == 0
-    state, r1 = step(state, z)
-    state, r2 = step(state, z)
-    assert r1.displacements == (0,)    # two service ticks
-    assert r2.displacements == (0,)
-    state, r3 = step(state, z)
+    s1 = step(state, z)
+    s2 = step(s1, z)
+    assert displacements(state, s1) == (0,)    # two service ticks
+    assert displacements(s1, s2) == (0,)
+    state = step(s2, z)
     assert positions_of(state) == (4,)
 
 
@@ -118,7 +119,7 @@ def test_waiting_queue_serves_one_head_at_a_time():
     state = SimState.initial(x)
     history = []
     for _ in range(6):
-        state, _ = step(state, z)
+        state = step(state, z)
         history.append(positions_of(state))
     # each particle spends wait+1 steps at the obstacle, pipelined one apart,
     # exactly as if both walked through the refined co-located copies
@@ -165,11 +166,42 @@ def test_observer_failure_aborts_with_diagnostic():
     z = ObstacleField.empty(HALF_LINE, 1)
     state = SimState.initial(ParticleConfig.from_iterable((0,), HALF_LINE))
 
-    def boom(report):
-        raise ValueError("nope")
+    def boom(before, after):
+        if before.time == 1:
+            raise ValueError("nope")
 
-    with pytest.raises(ObserverError):
+    # t is the time of the state the failed step started from
+    with pytest.raises(ObserverError, match="observer function failed at t=1: nope"):
         run(state, z, 3, observers=(boom,))
+
+
+@pytest.mark.parametrize("num", [F, float])
+def test_an_observer_that_changes_its_states_leaves_the_run_unchanged(num):
+    # criterion 8's waited ring, stepped by the scalar engine on its lattice
+    # or in floats; the observer overwrites every list and the time it sees
+    ring = Ring(num(24))
+    z = ObstacleField(
+        tuple(num(k) for k in range(0, 24, 3)),
+        (1, 0, 0, 0, 1, 0, 0, 0),
+        (num(1), num(1) / 2) * 4,
+        num(1),
+        ring,
+    )
+    x = ParticleConfig.equispaced(ring, 10, num(1) / 4)
+
+    def vandal(before, after):
+        for s in (before, after):
+            s.reps[:] = [num(0)] * s.count
+            s.laps[:] = [7] * s.count
+            s.wait_remaining[:] = [3] * s.count
+            s.time = -1
+
+    clean = run(SimState.initial(x), z, 30, snapshot_times=range(31))
+    state = SimState.initial(x)
+    changed = run(state, z, 30, observers=(vandal,), snapshot_times=range(31))
+    assert changed.snapshots == clean.snapshots
+    assert state == clean.final_state
+    assert any(state.wait_remaining)
 
 
 def test_trajectory_writer_rows():
@@ -191,7 +223,7 @@ def test_fast_path_matches_scalar_path_bitwise():
     )
     fast_state = SimState.initial(ParticleConfig.from_iterable(pos, ring))
     slow_state = SimState.initial(ParticleConfig.from_iterable(pos, ring))
-    sink = lambda report: None
+    sink = lambda before, after: None
     run(fast_state, z, 500)                      # vectorized branch
     run(slow_state, z, 500, observers=(sink,))   # scalar branch
     assert fast_state.unwrapped() == slow_state.unwrapped()
@@ -241,6 +273,19 @@ def test_fast_path_counts_violations_like_the_checker():
     assert fast.invariant_violations == count == len(checker.violations) == 3
 
 
+@pytest.mark.parametrize("num", [F, float])
+def test_invariant_checker_caps_each_move_at_the_fields_segment_speed(num):
+    # particle 0 moves 1 on a segment of speed 1/2: within its gap to
+    # particle 1 and short of the obstacle at 6, so only the cap is broken
+    ring = Ring(num(12))
+    z = ObstacleField((num(0), num(6)), (0, 0), (num(1) / 2, num(1)), num(1), ring)
+    before = SimState([num(1), num(5)], [0, 0], [0, 0], 3, ring)
+    after = SimState([num(2), num(5)], [0, 0], [0, 0], 4, ring)
+    checker = InvariantChecker(z)
+    checker(before, after)
+    assert checker.violations == [f"t=3 i=0: displacement {num(1)} above cap {num(1) / 2}"]
+
+
 @pytest.mark.parametrize("length", [Fraction(8), 8.0])
 def test_run_rejects_snapshot_times_outside_the_run(length):
     # the scalar engine on Fractions, the vectorized kernel on floats
@@ -286,12 +331,12 @@ def test_order_and_monotonicity_preserved(case):
     x, z = case
     state = SimState.initial(x)
     for _ in range(6):
-        before = state.unwrapped()
-        state, report = step(state, z)
-        after = state.unwrapped()
+        prev, state = state, step(state, z)
+        before, after = prev.unwrapped(), state.unwrapped()
         assert all(b <= a for b, a in zip(before, after))
         assert all(after[i] <= after[i + 1] for i in range(len(after) - 1))
-        assert all(0 <= d <= c for d, c in zip(report.displacements, report.v_caps))
+        caps = [z.segment_velocity(p) for p in prev.reps]
+        assert all(0 <= d <= c for d, c in zip(displacements(prev, state), caps))
 
 
 def test_determinism_bit_identical_reruns():

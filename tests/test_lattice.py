@@ -25,6 +25,7 @@ from contasep import (
     TrajectoryWriter,
     apply_pairing,
     detect_overtakes,
+    displacements,
     format_scalar,
     is_proper,
     run,
@@ -73,14 +74,11 @@ def line_cases(draw):
 
 
 def fraction_run(x, z, steps):
-    """Oracle: states and reports of repeated public step() calls."""
-    state = SimState.initial(x)
-    states, reports = [state], []
+    """Oracle: the states of repeated public step() calls, from t=0."""
+    states = [SimState.initial(x)]
     for _ in range(steps):
-        state, report = step(state, z)
-        states.append(state)
-        reports.append(report)
-    return states, reports
+        states.append(step(states[-1], z))
+    return states
 
 
 @settings(max_examples=60)
@@ -93,11 +91,11 @@ def test_step_returns_the_next_state_and_writes_nothing_to_its_input(case, data)
     laps = data.draw(ints(-1, 1)) if isinstance(x.domain, Ring) else [0] * n
     state = SimState(list(x.positions), laps, data.draw(ints(0, 2)), data.draw(st.integers(0, 5)), x.domain)
     before, lists = state.copy(), (state.reps, state.laps, state.wait_remaining)
-    after, report = step(state, z)
+    after = step(state, z)
     assert state == before
     assert all(a is b for a, b in zip((state.reps, state.laps, state.wait_remaining), lists))
     assert not any(a is b for a in (after.reps, after.laps, after.wait_remaining) for b in lists)
-    assert (after.time, report.time) == (state.time + 1, state.time)
+    assert after.time == state.time + 1
     # run writes the same step back into its state, countdowns included
     run(state, z, 1)
     assert state == after
@@ -111,7 +109,7 @@ def test_run_leaves_the_countdowns_of_as_many_steps():
     oracle = SimState.initial(x)
     seen = set()
     for k in range(1, 25):
-        oracle, _ = step(oracle, z)
+        oracle = step(oracle, z)
         state = SimState.initial(x)
         run(state, z, k)
         assert state.wait_remaining == oracle.wait_remaining
@@ -145,7 +143,7 @@ def test_to_lattice_keeps_an_infinite_line_end_and_refuses_floats():
 @given(st.one_of(ring_cases(), line_cases()), st.integers(0, 30), st.data())
 def test_run_matches_fraction_steps(case, steps, data):
     x, z = case
-    states, _ = fraction_run(x, z, steps)
+    states = fraction_run(x, z, steps)
     # split the run so the second part starts from written-back countdowns
     split = data.draw(st.integers(0, steps))
     state = SimState.initial(x)
@@ -170,32 +168,33 @@ def test_run_resumes_a_countdown_across_calls():
     run(state, z, 2)
     assert state.wait_remaining == [1] and state.reps == [F(5, 4)]
     run(state, z, 2)
-    states, _ = fraction_run(x, z, 4)
+    states = fraction_run(x, z, 4)
     assert state.reps == states[-1].reps == [F(11, 4)]
 
 
-def input_units(report):
-    """A report's rows as the CSV writer renders them, and its raw values."""
-    fields_ = (report.reps_before, report.reps_after, report.displacements, report.v_caps)
+def input_units(before, after):
+    """A step's values as the CSV writer renders them, and the raw values."""
+    fields_ = (before.reps, after.reps, displacements(before, after))
     return tuple(tuple(format_scalar(v) for v in f) for f in fields_), fields_
 
 
 @settings(max_examples=40)
 @given(ring_cases(), st.integers(1, 20))
-def test_observers_see_reports_in_input_units(case, steps):
+def test_observers_see_states_in_input_units(case, steps):
     x, z = case
-    _, reports = fraction_run(x, z, steps)
+    states = fraction_run(x, z, steps)
+    pairs = list(zip(states, states[1:]))
     seen = []
     writer, checker = TrajectoryWriter(), InvariantChecker(z)
-    run(SimState.initial(x), z, steps, observers=(seen.append, writer, checker))
-    assert [input_units(r) for r in seen] == [input_units(r) for r in reports]
-    assert [(r.time, r.blocked, r.hits, r.laps_after) for r in seen] == [
-        (r.time, r.blocked, r.hits, r.laps_after) for r in reports
+    run(SimState.initial(x), z, steps, observers=(lambda *pair: seen.append(pair), writer, checker))
+    assert [input_units(*p) for p in seen] == [input_units(*p) for p in pairs]
+    assert [(b.time, b.laps, a.laps, a.wait_remaining) for b, a in seen] == [
+        (b.time, b.laps, a.laps, a.wait_remaining) for b, a in pairs
     ]
     oracle_writer, oracle_checker = TrajectoryWriter(), InvariantChecker(z)
-    for report in reports:
-        oracle_writer(report)
-        oracle_checker(report)
+    for before, after in pairs:
+        oracle_writer(before, after)
+        oracle_checker(before, after)
     render = lambda rows: [tuple(format_scalar(v) for v in row) for row in rows]
     assert render(writer.rows) == render(oracle_writer.rows)
     assert checker.violations == oracle_checker.violations == []
@@ -216,8 +215,8 @@ def test_invariant_checker_messages_in_input_units():
     oracle = InvariantChecker(z)
     state = broken()
     for _ in range(2):
-        state, report = step(state, z)
-        oracle(report)
+        before, state = state, step(state, z)
+        oracle(before, state)
     assert checker.violations == oracle.violations
     assert "t=0 i=1: negative displacement -57/10" in checker.violations
 
@@ -241,9 +240,8 @@ def test_int_length_checker_reports_like_a_fraction_length():
 
 def coupled_step(state):
     """One coupled step through the public functions: (next state, its events)."""
-    new_x, _ = step(state.x, state.z)
-    new_b, _ = step(state.xbar, state.z)
-    moved = CoupledState(new_x, new_b, state.z, dict(state.pairing), state.time + 1)
+    x, xbar = step(state.x, state.z), step(state.xbar, state.z)
+    moved = CoupledState(x, xbar, state.z, dict(state.pairing), state.time + 1)
     events = detect_overtakes(state, moved)
     return apply_pairing(moved, events), events
 
@@ -481,7 +479,10 @@ def test_every_step_commutes_with_every_relabelling(case, steps):
     # must map every cyclic relabelling (s, s_bar) of its state to the same
     # relabelling of its result. s_bar runs over two turns, so xbar also
     # moves a lap against x. The cycle key must be the same for them all.
+    # The case is stepped on its lattice, as run_coupled steps it.
     x, xbar, z = case
+    _, domain, z, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
+    x, xbar = ParticleConfig(px, domain), ParticleConfig(pb, domain)
     state = CoupledState.initial(x, xbar, z)
     for _ in range(steps):
         state, _ = coupled_step(state)

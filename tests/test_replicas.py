@@ -24,6 +24,7 @@ from contasep import (
     Replicas,
     Ring,
     SimState,
+    displacements,
     run,
     step,
 )
@@ -84,7 +85,8 @@ def assert_batch_matches(z, states, steps):
 
     Each replica must match its run alone and the Fraction step() on its
     exact state, and report as many invariant violations as
-    InvariantChecker. Returns each replica's oracle step reports.
+    InvariantChecker. Returns each replica's oracle steps as (before,
+    after) pairs of Fraction states.
     """
     zf = as_float(z)
     times = range(steps + 1)
@@ -92,7 +94,7 @@ def assert_batch_matches(z, states, steps):
     assert all(dynamics._fast_eligible(s, zf) for s in batch.states)
     summaries = list(run(batch, zf, steps, snapshot_times=times))
     assert len(summaries) == len(states)
-    reports = []
+    pairs = []
     for (reps, laps), state, got in zip(states, batch.states, summaries):
         alone_state = new_state([float(r) for r in reps], laps, zf.domain)
         alone = run(alone_state, zf, steps, snapshot_times=times)
@@ -100,11 +102,11 @@ def assert_batch_matches(z, states, steps):
         oracle = new_state(reps, laps, z.domain)
         checker = InvariantChecker(z)
         unwrapped = [oracle.unwrapped()]
-        reports.append([])
+        pairs.append([])
         for _ in range(steps):
-            oracle, report = step(oracle, z)
-            checker(report)
-            reports[-1].append(report)
+            before, oracle = oracle, step(oracle, z)
+            checker(before, oracle)
+            pairs[-1].append((before, oracle))
             unwrapped.append(oracle.unwrapped())
 
         assert got.final_state is state
@@ -114,7 +116,7 @@ def assert_batch_matches(z, states, steps):
         assert state.laps == alone_state.laps == oracle.laps
         assert state.time == alone_state.time == steps
         assert got.invariant_violations == alone.invariant_violations == len(checker.violations)
-    return reports
+    return pairs
 
 
 @settings(max_examples=80)
@@ -163,8 +165,8 @@ def assert_replay_matches_stepping(z, states, steps, times=()):
         checker = InvariantChecker(z)
         unwrapped = [oracle.unwrapped()]
         for _ in range(steps):
-            oracle, report = step(oracle, z)
-            checker(report)
+            before, oracle = oracle, step(oracle, z)
+            checker(before, oracle)
             unwrapped.append(oracle.unwrapped())
 
         assert got.snapshots == {t: stepped[t] for t in reported}
@@ -201,45 +203,45 @@ def bin_of(position):
     return bisect_right(EDGES_8, position)
 
 
-def movers(report):
+def movers(before, after):
     """How many particles changed bin in one step."""
-    return sum(bin_of(a) != bin_of(b) for a, b in zip(report.reps_before, report.reps_after))
+    return sum(bin_of(a) != bin_of(b) for a, b in zip(before.reps, after.reps))
 
 
-def count_change(report, a, b):
-    return sum(a <= r < b for r in report.reps_after) - sum(a <= r < b for r in report.reps_before)
+def count_change(before, after, a, b):
+    return sum(a <= r < b for r in after.reps) - sum(a <= r < b for r in before.reps)
 
 
-def jumps(report):
+def jumps(before, after):
     """How many interval counts changed by more than 1 in one step."""
-    return sum(abs(count_change(report, a, b)) > 1 for a, b in dynamics.default_intervals(RING_8.domain))
+    return sum(abs(count_change(before, after, a, b)) > 1 for a, b in dynamics.default_intervals(RING_8.domain))
 
 
 def test_particles_on_interval_edges():
     # moves of 1/2 and 1 from edges land on edges, except those onto 1/2
     reps = [F(1), F(2), F(7, 2), F(5), F(15, 2)]
     assert all(r in EDGES_8 for r in reps)
-    (reports,) = assert_batch_matches(RING_8, [(reps, [0] * 5)], 8)
-    assert all(sum(r in EDGES_8 for r in report.reps_after) >= 4 for report in reports)
+    (pairs,) = assert_batch_matches(RING_8, [(reps, [0] * 5)], 8)
+    assert all(sum(r in EDGES_8 for r in after.reps) >= 4 for _, after in pairs)
 
 
 def test_ring_replica_crosses_the_seam():
     # each particle lands on 0 exactly, from the last bin to bin 1
-    (reports,) = assert_batch_matches(RING_8, [([F(2), F(15, 2)], [0, 0])], 9)
+    (pairs,) = assert_batch_matches(RING_8, [([F(2), F(15, 2)], [0, 0])], 9)
     wraps = [
-        (t, i) for t, report in enumerate(reports) for i in range(2)
-        if report.laps_after[i] > report.laps_before[i]
+        (t, i) for t, (before, after) in enumerate(pairs) for i in range(2)
+        if after.laps[i] > before.laps[i]
     ]
     assert wraps == [(0, 1), (7, 0)]
-    assert all(reports[t].reps_after[i] == 0 for t, i in wraps)
+    assert all(pairs[t][1].reps[i] == 0 for t, i in wraps)
 
 
 def test_scrambled_particles_move_backwards_across_bins():
     # out of order, the first particle's gap target lies behind it
-    (reports,) = assert_batch_matches(RING_8, [([F(13, 2), F(1, 4), F(3)], [0, 0, 1])], 4)
-    first = reports[0]
-    assert first.displacements[0] < 0
-    assert bin_of(first.reps_before[0]) - bin_of(first.reps_after[0]) > 1
+    (pairs,) = assert_batch_matches(RING_8, [([F(13, 2), F(1, 4), F(3)], [0, 0, 1])], 4)
+    before, after = pairs[0]
+    assert displacements(before, after)[0] < 0
+    assert bin_of(before.reps[0]) - bin_of(after.reps[0]) > 1
 
 
 # Out of order: particles 0 and 2 jump back onto the edge 0, into [0, 3/2),
@@ -249,10 +251,10 @@ PAIR = ([F(5), F(0), F(6), F(0)], [0, 0, 0, 0])
 
 def test_one_mover_and_two_movers_into_one_interval():
     lone = ([F(3, 4)], [0])
-    lone_reports, pair_reports = assert_batch_matches(RING_8, [lone, PAIR], 1)
-    assert movers(lone_reports[0]) == 1
-    assert movers(pair_reports[0]) == 2
-    assert count_change(pair_reports[0], 0, F(3, 2)) == 2
+    lone_pairs, pair_pairs = assert_batch_matches(RING_8, [lone, PAIR], 1)
+    assert movers(*lone_pairs[0]) == 1
+    assert movers(*pair_pairs[0]) == 2
+    assert count_change(*pair_pairs[0], 0, F(3, 2)) == 2
 
 
 def test_replicas_of_different_sizes():
@@ -264,10 +266,9 @@ def test_replicas_of_different_sizes():
         PAIR,
         ([F(1, 2), F(2), F(3), F(4), F(5), F(15, 2)], [0] * 6),
     ]
-    reports = assert_batch_matches(RING_8, states, 5)
-    first = [r[0] for r in reports]
-    assert [count_change(r, 0, F(3, 2)) for r in first] == [1, 2, 1]
-    assert [jumps(r) > 0 for r in first] == [False, True, False]
+    first = [pairs[0] for pairs in assert_batch_matches(RING_8, states, 5)]
+    assert [count_change(*pair, 0, F(3, 2)) for pair in first] == [1, 2, 1]
+    assert [jumps(*pair) > 0 for pair in first] == [False, True, False]
 
 
 # Pinned cases for the table entries with no obstacle ahead, which random
@@ -275,23 +276,24 @@ def test_replicas_of_different_sizes():
 def test_empty_ring_particle_wraps_the_seam():
     # the empty ring's entry is one lap on, so it never beats a wrapped move
     z = ObstacleField.empty(Ring(8), F(3, 2))
-    (reports,) = assert_batch_matches(z, [([F(3), F(15, 2)], [0, 0])], 4)
-    assert reports[0].reps_after == (F(9, 2), F(1))
-    assert reports[0].laps_after == (0, 1)
+    (pairs,) = assert_batch_matches(z, [([F(3), F(15, 2)], [0, 0])], 4)
+    _, after = pairs[0]
+    assert after.reps == [F(9, 2), F(1)]
+    assert after.laps == [0, 1]
 
 
 def test_line_without_obstacles():
     z = ObstacleField.empty(Line(F(-1, 2), 12), F(3, 2))
-    (reports,) = assert_batch_matches(z, [([F(-1, 2), F(0), F(3)], [0, 0, 0])], 4)
+    (pairs,) = assert_batch_matches(z, [([F(-1, 2), F(0), F(3)], [0, 0, 0])], 4)
     # the first particle is gap-bound, the leader moves at top speed
-    assert reports[0].reps_after == (F(0), F(3, 2), F(9, 2))
+    assert pairs[0][1].reps == [F(0), F(3, 2), F(9, 2)]
 
 
 def test_line_leader_passes_the_last_obstacle():
     z = ObstacleField((F(1), F(2)), (0, 0), (F(1, 2), F(1)), F(3, 2), Line(0, INFINITY))
-    (reports,) = assert_batch_matches(z, [([F(1, 4), F(7, 4)], [0, 0])], 4)
+    (pairs,) = assert_batch_matches(z, [([F(1, 4), F(7, 4)], [0, 0])], 4)
     # onto the last obstacle, then on at its segment's speed with none ahead
-    assert [r.reps_after[1] for r in reports] == [2, 3, 4, 5]
+    assert [after.reps[1] for _, after in pairs] == [2, 3, 4, 5]
 
 
 def test_ineligible_batch_runs_each_replica_alone(monkeypatch):
