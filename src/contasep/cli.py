@@ -370,10 +370,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         return 2
 
     state = SimState.initial(x)
-    counts = [run(state, z, cfg.burn_in).invariant_violations] if cfg.burn_in else []
+    burn = run(state, z, cfg.burn_in) if cfg.burn_in else None
+    counts = [burn.invariant_violations] if burn else []
     writer = TrajectoryWriter() if cfg.trajectory else None
     observers = (writer,) if writer else ()
-    traj = run(state, z, cfg.steps, observers=observers)
+    traj = run(burn.final_state if burn else state, z, cfg.steps, observers=observers)
     counts.append(traj.invariant_violations)
     est = velocity_estimate(traj)
     _write_csv(

@@ -40,7 +40,7 @@ from .core import (
 
 @dataclass
 class SimState:
-    """Mutable simulation state.
+    """Simulation state, which step and run read and never write: they hand back new states.
 
     reps are representative positions (in [0, L) on a ring); laps count ring
     wraps so unwrapped positions are laps[i] * L + reps[i]. wait_remaining
@@ -247,6 +247,7 @@ class TrajectoryWriter:
 class TrajectorySummary:
     """Result of a run: snapshots of unwrapped positions keyed by time.
 
+    final_state is the run's last state, a new one; a split run resumes from it.
     invariant_violations is None where the scalar engine ran: it checks nothing.
     cycle is (lam, s, G) when the vectorized kernel found the state of a ring
     run repeating with period lam: each particle i then stands, lam steps
@@ -306,7 +307,7 @@ def _fast_eligible(state: SimState, z: ObstacleField) -> bool:
 
 
 def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -> tuple:
-    """Vectorized float kernel for wait-free fields; returns (snapshots, violations, cycles).
+    """Vectorized float kernel for wait-free fields; returns (finals, snapshots, violations, cycles).
 
     Every replica shares the first one's domain and the field z; their
     particles sit in one flat array, replica after replica. Each particle's
@@ -314,10 +315,10 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     tie-breaks, reading the same z.table, so each replica's positions are
     bit-identical to it. One body serves both domains: a line wraps at
     INFINITY and a lap on it adds no length, and a line's leader sees
-    itself one lap ahead, a gap no line move reaches. snapshots maps a time
-    to the flat array of unwrapped positions; violations holds each
-    replica's invariant count, the same as the replica reports when run
-    alone.
+    itself one lap ahead, a gap no line move reaches. finals are new final
+    states, one per replica; snapshots maps a time to the flat array of
+    unwrapped positions; violations holds each replica's invariant count,
+    the same as the replica reports when run alone.
 
     Each move lands on an obstacle, a neighbour's old position or p + v, and
     p + v never passes the next obstacle. So each particle's table index
@@ -471,11 +472,11 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
                 snapshots[t] = laps * period + reps
     else:
         violations = counts()
-    for s, a, b in zip(states, first, last + 1):
-        s.reps = reps[a:b].tolist()
-        s.laps = laps[a:b].tolist()
-        s.time += steps
-    return snapshots, violations, replay.cycles if replay else [None] * len(states)
+    finals = [
+        SimState(reps[a:b].tolist(), laps[a:b].tolist(), list(s.wait_remaining), s.time + steps, s.domain)
+        for s, a, b in zip(states, first, last + 1)
+    ]
+    return finals, snapshots, violations, replay.cycles if replay else [None] * len(states)
 
 
 class _Replay:
@@ -589,10 +590,10 @@ class _Replay:
         return self.np.concatenate(reps), self.np.concatenate(laps), counts
 
 
-def _summaries(batch: Replicas, steps: int, snapshots: dict, violations, cycles) -> Iterator:
+def _summaries(steps: int, finals: list, snapshots: dict, violations, cycles) -> Iterator:
     """One TrajectorySummary per replica of a _run_fast batch, built as it is reached."""
     start = 0
-    for state, count, cycle in zip(batch.states, violations, cycles):
+    for state, count, cycle in zip(finals, violations, cycles):
         stop = start + state.count
         yield TrajectorySummary(
             steps, {t: tuple(u[start:stop].tolist()) for t, u in snapshots.items()}, state, int(count), cycle
@@ -607,9 +608,10 @@ def run(
     observers: Iterable[Callable] = (),
     snapshot_times: Iterable[int] = (),
 ) -> TrajectorySummary | Iterator[TrajectorySummary]:
-    """Apply the step map repeatedly; the last state's reps, laps, countdowns
-    and time are written back into state, also when an observer fails.
+    """Apply the step map repeatedly; steps and the snapshot times are ints.
 
+    The run writes nothing into state, also when an observer fails. Its last
+    state comes back as final_state, a new state, also after 0 steps.
     Snapshots of unwrapped positions are always taken at t=0 and t=steps,
     plus any requested times in [0, steps] (relative to the start of this
     run). When no observers are attached and the input is float-valued with
@@ -627,61 +629,57 @@ def run(
     are all eligible and share one domain step together in one kernel call;
     otherwise each replica runs alone.
     """
+    times = (steps, *snapshot_times)
+    if not_int := [t for t in times if isinstance(t, bool) or not isinstance(t, int)]:
+        raise ConfigurationError(f"step count and snapshot times must be ints, got {not_int}")
     if steps < 0:
         raise ConfigurationError("step count must be nonnegative")
     observers = tuple(observers)
-    snapshot_at = {0, steps} | {int(t) for t in snapshot_times}
+    snapshot_at = {0, *times}
     outside = sorted(t for t in snapshot_at if not 0 <= t <= steps)
     if outside:
         raise ConfigurationError(f"snapshot times {outside} outside the run's [0, {steps}]")
 
-    if isinstance(state, Replicas):
-        states = state.states
-        # the field is checked once for the batch, each replica's own values once
-        if (
-            states
-            and not observers
-            and all(s.domain == states[0].domain for s in states)
-            and _fast_field(z, states[0].domain)
-            and all(map(_fast_state, states))
-        ):
-            return _summaries(state, steps, *_run_fast(state, z, steps, snapshot_at))
+    batch = state if isinstance(state, Replicas) else Replicas((state,))
+    states = batch.states
+    # the field is checked once for the batch, each replica's own values once
+    if (
+        states
+        and not observers
+        and all(s.domain == states[0].domain for s in states)
+        and _fast_field(z, states[0].domain)
+        and all(map(_fast_state, states))
+    ):
+        runs = _summaries(steps, *_run_fast(batch, z, steps, snapshot_at))
+        return runs if batch is state else next(runs)
+    if batch is state:
         return iter([run(s, z, steps, observers, snapshot_at) for s in states])
-
-    if not observers and _fast_eligible(state, z):
-        batch = Replicas((state,))
-        return next(_summaries(batch, steps, *_run_fast(batch, z, steps, snapshot_at)))
 
     lattice = to_lattice(state.domain, z, state.reps)
     if lattice is None:
         # float or mixed input has no lattice; it is stepped as given
-        work, z_work, unscale = state, z, tuple
+        work, z_work, unscale, in_units = state, z, tuple, SimState.copy
     else:
         scale, domain, z_work, reps = lattice
         work = SimState(list(reps), state.laps, state.wait_remaining, state.time, domain)
         unscale = _Unscale(scale)
+        in_units = lambda s: unscale.state(s, state.domain)
     snapshots = {0: unscale(work.unwrapped())}
     # observers see copies in input units, so none of them can change the run
     after = state.copy()
-    try:
-        for t in range(steps):
-            work = _step_scalar(work, z_work)
-            if observers:
-                before = after
-                after = work.copy() if lattice is None else unscale.state(work, state.domain)
-                for obs in observers:
-                    try:
-                        obs(before, after)
-                    except Exception as exc:
-                        raise ObserverError(
-                            f"observer {type(obs).__name__} failed at t={before.time}: {exc}"
-                        ) from exc
-            if t + 1 in snapshot_at:
-                snapshots[t + 1] = unscale(work.unwrapped())
-    finally:
-        state.reps = list(unscale(work.reps))
-        state.laps, state.wait_remaining, state.time = work.laps, work.wait_remaining, work.time
-    return TrajectorySummary(steps, snapshots, state)
+    for t in range(steps):
+        work = _step_scalar(work, z_work)
+        if observers:
+            before, after = after, in_units(work)
+            for obs in observers:
+                try:
+                    obs(before, after)
+                except Exception as exc:
+                    name = getattr(obs, "__name__", type(obs).__name__)
+                    raise ObserverError(f"observer {name} failed at t={before.time}: {exc}") from exc
+        if t + 1 in snapshot_at:
+            snapshots[t + 1] = unscale(work.unwrapped())
+    return TrajectorySummary(steps, snapshots, in_units(work))
 
 
 class _Unscale:

@@ -73,9 +73,8 @@ def obstacle_ring_sweep():
         rho = F(k + 1, 10)
         count = int(rho * 600)
         x = ParticleConfig.equispaced(ring, count, 0.5)
-        state = SimState.initial(x)
-        run(state, z, 1000)
-        traj = run(state, z, 10_000)
+        burn = run(SimState.initial(x), z, 1000)
+        traj = run(burn.final_state, z, 10_000)
         rows.append((rho, velocity_estimate(traj).mean, traj.invariant_violations, cycle_velocity(traj)))
     elapsed = time.perf_counter() - start
     return rows, elapsed
@@ -118,9 +117,8 @@ def test_criterion_03_homogeneous_reduction():
         ring = Ring(200.0)
         x = ParticleConfig.equispaced(ring, count, 0.25)
         z = ObstacleField.empty(ring, 1.5)
-        state = SimState.initial(x)
-        run(state, z, 1000)
-        traj = run(state, z, 10_000)
+        burn = run(SimState.initial(x), z, 1000)
+        traj = run(burn.final_state, z, 10_000)
         measured = velocity_estimate(traj).mean
         target = predict_velocity(rho, None, F(3, 2))
         results.append(rel_err(measured, float(target)))
@@ -175,8 +173,7 @@ def test_criterion_06_left_shift_law():
         vels = tuple(rng.choice((F(1), F(1, 2), F(3, 4))) for _ in range(k))
         z = ObstacleField(pos, waits, vels, 1, ring)
         ext = build_extended(refine_waiting(z))
-        state = SimState.initial(ParticleConfig.from_iterable(ext.positions, ring))
-        run(state, z, 1)
+        state = run(SimState.initial(ParticleConfig.from_iterable(ext.positions, ring)), z, 1).final_state
         got = tuple(sorted(p % length for p in state.reps))
         shifted = tuple(ext.positions[1:]) + (ext.positions[0] + length,)
         want = tuple(sorted(p % length for p in shifted))
@@ -198,9 +195,8 @@ def test_criterion_07_density_scaling():
     for alpha, target in ((F(1, 2), 1.0), (F(1), 1.0), (F(3, 2), 2 / 3)):
         scaled = scale_config(base, alpha)
         x = ParticleConfig.from_iterable((float(p) for p in scaled.positions), ring_f)
-        state = SimState.initial(x)
-        run(state, z, 500)
-        traj = run(state, z, 5000)
+        burn = run(SimState.initial(x), z, 500)
+        traj = run(burn.final_state, z, 5000)
         errors.append(rel_err(velocity_estimate(traj).mean, target))
     ok = max(errors) <= 0.02
     report(
@@ -222,9 +218,8 @@ def test_criterion_08_mixed_speeds_and_waits():
         rho_ext = extended_density(z)
         for count in (6, 48):
             x = ParticleConfig.equispaced(ring, count, F(1, 4))
-            state = SimState.initial(x)
-            run(state, z, 400)
-            traj = run(state, z, 4000)
+            burn = run(SimState.initial(x), z, 400)
+            traj = run(burn.final_state, z, 4000)
             measured = velocity_estimate(traj).mean
             predicted = predict_velocity(F(count, length), rho_ext, 1)
             errors.append(float(rel_err(measured, predicted)))

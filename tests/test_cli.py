@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +60,26 @@ CRITERION_10_CFG = {
     "particles": {"random": {"count": 50, "seed": 21, "quantize": 100}},
     "particles_xbar": {"random": {"count": 50, "seed": 22, "quantize": 100}},
     "steps": 10000,
+}
+
+# A waited coupled run that stays proper: REPEATING in tests/test_lattice.py
+WAITED_COUPLE_CFG = {
+    "domain": {"kind": "ring", "length": "17/2"},
+    "obstacles": {
+        "positions": ["3/4", "1", "11/4", "7"],
+        "waits": [2, 2, 1, 1],
+        "velocities": ["3/2", "1/2", "1/2", "1/2"],
+        "top_speed": "3/2",
+    },
+    "particles": {"positions": ["14/3", "0", "13/3", "5"]},
+    "particles_xbar": {"positions": ["17/3", "14/3", "16/3", "20/3"]},
+    "steps": 150,
+}
+
+ZERO_RANGE_CFG = {
+    "domain": {"kind": "ring", "length": "3"},
+    "zero_range": {"occupancy": [2, 0, 1], "ring": True},
+    "steps": 5,
 }
 
 
@@ -275,8 +296,8 @@ def test_fd_sweep_monotone_and_merged(tmp_path, mode, sweep):
     for row in rows:
         count = round(F(row[0]) * F(row[6]))
         state = SimState.initial(ParticleConfig.equispaced(loaded.domain, count, loaded.particle_offset))
-        run(state, loaded.obstacles, loaded.burn_in)
-        traj = run(state, loaded.obstacles, loaded.steps)
+        burn = run(state, loaded.obstacles, loaded.burn_in)
+        traj = run(burn.final_state, loaded.obstacles, loaded.steps)
         assert row[2] == format_scalar(velocity_estimate(traj).mean)
 
 
@@ -364,8 +385,8 @@ def one_violation_per_replica(real):
     """A _run_fast that reports one invariant violation for each replica of each call."""
 
     def fake(batch, *rest):
-        snapshots, _, cycles = real(batch, *rest)
-        return snapshots, [1] * len(batch.states), cycles
+        finals, snapshots, _, cycles = real(batch, *rest)
+        return finals, snapshots, [1] * len(batch.states), cycles
 
     return fake
 
@@ -459,12 +480,7 @@ def test_couple_series_and_verdict(tmp_path):
 
 
 def test_zero_range_occupancy_series(tmp_path):
-    payload = {
-        "domain": {"kind": "ring", "length": "3"},
-        "zero_range": {"occupancy": [2, 0, 1], "ring": True},
-        "steps": 5,
-    }
-    cfg = write_config(tmp_path, payload)
+    cfg = write_config(tmp_path, ZERO_RANGE_CFG)
     out = tmp_path / "zr"
     assert main(["zero-range", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out / "occupancy.csv")
@@ -879,24 +895,69 @@ def test_fast_mode_override(tmp_path):
     assert abs(float(summary["V_mean"]) - 1.0) < 0.02
 
 
-def run_child(script, *args):
-    """Run a Python script in a fresh interpreter that imports this contasep."""
-    env = {**os.environ, "PYTHONPATH": str(Path(contasep.__file__).parents[1])}
+def run_child(script, *args, **env):
+    """Run a Python script in a fresh interpreter that imports this contasep,
+    with env's variables set on top of this process's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(contasep.__file__).parents[1]), **env}
     return subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
     )
 
 
-# Runs each argument list (a JSON list) through main with numpy unimportable.
-WITHOUT_NUMPY = """
+# Runs each argument list (a JSON list) through main; a nonzero exit code ends the script with it.
+MAIN_EACH = """
 import json, sys
-sys.modules["numpy"] = None
 from contasep.cli import main
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
         sys.exit(code)
 """
+
+
+def test_reruns_are_byte_identical_under_any_hash_seed(tmp_path):
+    # The coupled run finds its repeat through a dict keyed by the state, and
+    # other commands keep sets and dicts too, so no output may depend on how
+    # Python hashes: two children with different hash seeds, run together,
+    # and this process must write the same bytes.
+    ring = write_config(tmp_path, RING_CFG, "ring.json")
+    commands = {
+        "couple": ["couple", "--config", write_config(tmp_path, CRITERION_10_CFG, "couple.json")],
+        "couple-waited": ["couple", "--config", write_config(tmp_path, WAITED_COUPLE_CFG, "waited.json")],
+        "simulate-exact": ["simulate", "--config", write_config(tmp_path, GOLDEN_EXACT_CFG, "exact.json")],
+        "simulate-fast": ["simulate", "--config", write_config(tmp_path, GOLDEN_FAST_CFG, "fast.json")],
+        "fd-exact": ["fd-sweep", "--config", ring, "--threads", "2", *SWEEP_ARGS],
+        "fd-fast": ["fd-sweep", "--config", ring, "--mode", "fast", "--threads", "2", *SWEEP_ARGS],
+        "extend": ["extend", "--config", ring],
+        "zero-range": ["zero-range", "--config", write_config(tmp_path, ZERO_RANGE_CFG, "zr.json")],
+        **{f"scenario-{name}": ["scenario", name] for name in sorted(SCENARIOS)},
+        # at levels 4: at its default of 6 it takes about 0.3 s
+        "scenario-irregular_density": [
+            "scenario", "irregular_density", "--config", write_config(tmp_path, {"params": {"levels": 4}}, "levels.json"),
+        ],
+    }
+    seeds = ("0", "12345")
+
+    def child(seed):
+        argvs = [argv + ["--out", str(tmp_path / seed / name)] for name, argv in commands.items()]
+        return run_child(MAIN_EACH, json.dumps(argvs), PYTHONHASHSEED=seed)
+
+    with ThreadPoolExecutor(len(seeds)) as pool:
+        children = list(pool.map(child, seeds))
+    for result in children:
+        assert result.returncode == 0, result.stderr
+    for name, argv in commands.items():
+        assert main(argv + ["--out", str(tmp_path / "here" / name)]) == 0
+        here = sorted((tmp_path / "here" / name).iterdir())
+        assert here
+        for seed in seeds:
+            assert sorted(f.name for f in (tmp_path / seed / name).iterdir()) == [f.name for f in here]
+            for f in here:
+                assert (tmp_path / seed / name / f.name).read_bytes() == f.read_bytes(), (seed, name, f.name)
+
+
+# MAIN_EACH with numpy unimportable.
+WITHOUT_NUMPY = 'import sys\nsys.modules["numpy"] = None\n' + MAIN_EACH
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
@@ -921,17 +982,8 @@ def test_exact_commands_never_load_numpy(tmp_path):
     assert imported.stdout == "False\n", imported.stderr
 
 
-# Runs each argument list (a JSON list) through main, then prints whether
-# numpy and numpy.ma were loaded.
-NUMPY_MA_LOADED = """
-import json, sys
-from contasep.cli import main
-for argv in json.loads(sys.argv[1]):
-    code = main(argv)
-    if code:
-        sys.exit(code)
-print("numpy" in sys.modules, "numpy.ma" in sys.modules)
-"""
+# MAIN_EACH, then prints whether numpy and numpy.ma were loaded.
+NUMPY_MA_LOADED = MAIN_EACH + 'print("numpy" in sys.modules, "numpy.ma" in sys.modules)\n'
 
 
 def test_fast_runs_never_load_numpy_ma(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from contasep import (
     ObserverError,
     ObstacleField,
     ParticleConfig,
+    Replicas,
     Ring,
     SimState,
     TrajectoryWriter,
@@ -145,8 +147,7 @@ def test_left_shift_on_extended_configuration():
     z = make_field((0, F(7, 2)), Ring(9), waits=(1, 0), velocities=(1, F(3, 4)))
     ext = build_extended(refine_waiting(z))
     x = ParticleConfig.from_iterable(ext.positions, Ring(9))
-    state = SimState.initial(x)
-    run(state, z, 1)
+    state = run(SimState.initial(x), z, 1).final_state
     got = tuple(sorted(p % 9 for p in state.reps))
     shifted = tuple(ext.positions[1:]) + (ext.positions[0] + 9,)
     assert got == tuple(sorted(p % 9 for p in shifted))
@@ -170,9 +171,22 @@ def test_observer_failure_aborts_with_diagnostic():
         if before.time == 1:
             raise ValueError("nope")
 
-    # t is the time of the state the failed step started from
-    with pytest.raises(ObserverError, match="observer function failed at t=1: nope"):
+    def quiet(before, after):
+        pass
+
+    class Boom:
+        def __call__(self, before, after):
+            boom(before, after)
+
+    # t is the time of the state the failed step started from; a function
+    # is named by its name, so the second of two is told from the first,
+    # and a callable instance by its class
+    with pytest.raises(ObserverError, match="^observer boom failed at t=1: nope$"):
         run(state, z, 3, observers=(boom,))
+    with pytest.raises(ObserverError, match="^observer boom failed at t=1: nope$"):
+        run(state, z, 3, observers=(quiet, boom))
+    with pytest.raises(ObserverError, match="^observer Boom failed at t=1: nope$"):
+        run(state, z, 3, observers=(Boom(),))
 
 
 @pytest.mark.parametrize("num", [F, float])
@@ -200,8 +214,56 @@ def test_an_observer_that_changes_its_states_leaves_the_run_unchanged(num):
     state = SimState.initial(x)
     changed = run(state, z, 30, observers=(vandal,), snapshot_times=range(31))
     assert changed.snapshots == clean.snapshots
-    assert state == clean.final_state
-    assert any(state.wait_remaining)
+    assert changed.final_state == clean.final_state
+    assert any(changed.final_state.wait_remaining)
+    assert state == SimState.initial(x)
+
+
+def test_run_writes_nothing_into_its_input():
+    # every path of run: the scalar engine on a lattice and in floats with
+    # observers, the kernel on one state and on a batch, a batch whose
+    # waiting replica sends each replica alone, a failing observer and the
+    # kernel's refusal of lap counts that could pass int64
+    def field(num, waits):
+        ring = Ring(num(24))
+        return ObstacleField(tuple(num(k) for k in range(0, 24, 3)), waits, (num(1), num(1) / 2) * 4, num(1), ring)
+
+    exact, waited, free = field(F, (1, 0, 0, 0, 1, 0, 0, 0)), field(float, (1,) + (0,) * 7), field(float, (0,) * 8)
+
+    def state(num, count=10, laps=0):
+        x = ParticleConfig.equispaced(Ring(num(24)), count, num(1) / 4)
+        return SimState(list(x.positions), [laps] * count, [0] * count, 3, x.domain)
+
+    def boom(before, after):
+        if before.time == 4:
+            raise ValueError("nope")
+
+    waiting = state(float, 6)
+    waiting.wait_remaining[0] = 2
+    cases = [
+        (state(F), exact, (), None),
+        (state(float), waited, (InvariantChecker(waited), TrajectoryWriter()), None),
+        (state(float), free, (), None),
+        (Replicas([state(float, 3), state(float, 7)]), free, (), None),
+        (Replicas([waiting, state(float, 5)]), free, (), None),
+        (state(F), exact, (boom,), ObserverError),
+        (state(float, 2, 2**63 - 2), free, (), ConfigurationError),
+    ]
+    for given, z, observers, error in cases:
+        inputs = given.states if isinstance(given, Replicas) else (given,)
+        for steps in (0, 5):
+            before = copy.deepcopy(inputs)
+            if error:
+                with pytest.raises(error):
+                    run(given, z, steps + 2, observers)
+            else:
+                got = run(given, z, steps, observers)
+                finals = [g.final_state for g in got] if isinstance(given, Replicas) else [got.final_state]
+                assert [f.time for f in finals] == [s.time + steps for s in inputs]
+                lists = [id(v) for s in inputs for v in (s.reps, s.laps, s.wait_remaining)]
+                assert not any(f is s for f in finals for s in inputs)
+                assert not any(id(v) in lists for f in finals for v in (f.reps, f.laps, f.wait_remaining))
+            assert inputs == before
 
 
 def test_trajectory_writer_rows():
@@ -221,12 +283,12 @@ def test_fast_path_matches_scalar_path_bitwise():
     z = ObstacleField(
         (0.0, 11.5, 23.0), (0, 0, 0), (1.0, 0.5, 1.0), 1.0, ring
     )
-    fast_state = SimState.initial(ParticleConfig.from_iterable(pos, ring))
-    slow_state = SimState.initial(ParticleConfig.from_iterable(pos, ring))
+    state = SimState.initial(ParticleConfig.from_iterable(pos, ring))
     sink = lambda before, after: None
-    run(fast_state, z, 500)                      # vectorized branch
-    run(slow_state, z, 500, observers=(sink,))   # scalar branch
-    assert fast_state.unwrapped() == slow_state.unwrapped()
+    fast = run(state, z, 500).final_state                      # vectorized branch
+    slow = run(state, z, 500, observers=(sink,)).final_state   # scalar branch
+    assert fast.unwrapped() == slow.unwrapped()
+    assert fast.unwrapped() != state.unwrapped()
 
 
 def test_fast_path_reports_zero_invariant_violations():
@@ -261,6 +323,7 @@ def test_fast_path_counts_violations_like_the_checker():
     stepped, count = broken(), 0
     for t in range(100):
         one = run(stepped, z, 1)
+        stepped = one.final_state
         count += one.invariant_violations
         if t + 1 == 50:
             assert fast.snapshots[50] == one.snapshots[1]
@@ -295,6 +358,21 @@ def test_run_rejects_snapshot_times_outside_the_run(length):
     with pytest.raises(ConfigurationError, match=r"snapshot times \[-1, 20\] outside the run's \[0, 10\]"):
         run(state, z, 10, snapshot_times=[20, -1, 3])
     assert state.time == 0
+
+
+@pytest.mark.parametrize("length", [Fraction(8), 8.0], ids=["fraction", "float"])
+@pytest.mark.parametrize(
+    "steps, times, refused",
+    [(5, [2.5, True, "3"], [2.5, True, "3"]), (True, (), [True]), (2.5, (), [2.5]), ("4", (2,), ["4"])],
+    ids=["snapshot-times", "bool-steps", "float-steps", "string-steps"],
+)
+def test_run_refuses_steps_and_snapshot_times_that_are_not_ints(length, steps, times, refused):
+    # a bool, a float or a string is not read as a whole number of steps
+    z = ObstacleField.empty(Ring(length), length / 8)
+    state = SimState.initial(ParticleConfig.equispaced(Ring(length), 3))
+    with pytest.raises(ConfigurationError) as exc:
+        run(state, z, steps, snapshot_times=times)
+    assert str(exc.value) == f"step count and snapshot times must be ints, got {refused}"
 
 
 ring_cases = st.builds(
@@ -342,9 +420,7 @@ def test_order_and_monotonicity_preserved(case):
 def test_determinism_bit_identical_reruns():
     z = make_field((0, F(7, 2)), Ring(9), waits=(1, 0), velocities=(1, F(3, 4)))
     x = ParticleConfig.from_iterable((F(1, 4), 2, 5, F(27, 4)), Ring(9))
-    a = SimState.initial(x)
-    b = SimState.initial(x)
-    run(a, z, 150)
-    run(b, z, 150)
+    a = run(SimState.initial(x), z, 150).final_state
+    b = run(SimState.initial(x), z, 150).final_state
     assert a.unwrapped() == b.unwrapped()
     assert a.reps == b.reps

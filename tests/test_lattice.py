@@ -96,9 +96,10 @@ def test_step_returns_the_next_state_and_writes_nothing_to_its_input(case, data)
     assert all(a is b for a, b in zip((state.reps, state.laps, state.wait_remaining), lists))
     assert not any(a is b for a in (after.reps, after.laps, after.wait_remaining) for b in lists)
     assert after.time == state.time + 1
-    # run writes the same step back into its state, countdowns included
-    run(state, z, 1)
-    assert state == after
+    # run hands back the same step as a new state, countdowns included
+    final = run(state, z, 1).final_state
+    assert final == after
+    assert state == before
 
 
 def test_run_leaves_the_countdowns_of_as_many_steps():
@@ -110,8 +111,7 @@ def test_run_leaves_the_countdowns_of_as_many_steps():
     seen = set()
     for k in range(1, 25):
         oracle = step(oracle, z)
-        state = SimState.initial(x)
-        run(state, z, k)
+        state = run(SimState.initial(x), z, k).final_state
         assert state.wait_remaining == oracle.wait_remaining
         assert state == oracle
         seen.update(state.wait_remaining)
@@ -144,12 +144,11 @@ def test_to_lattice_keeps_an_infinite_line_end_and_refuses_floats():
 def test_run_matches_fraction_steps(case, steps, data):
     x, z = case
     states = fraction_run(x, z, steps)
-    # split the run so the second part starts from written-back countdowns
+    # split the run so the second part starts from the first one's countdowns
     split = data.draw(st.integers(0, steps))
-    state = SimState.initial(x)
-    first = run(state, z, split, snapshot_times=range(split + 1))
-    second = run(state, z, steps - split, snapshot_times=range(steps - split + 1))
-    final = states[-1]
+    first = run(SimState.initial(x), z, split, snapshot_times=range(split + 1))
+    second = run(first.final_state, z, steps - split, snapshot_times=range(steps - split + 1))
+    state, final = second.final_state, states[-1]
     assert state.reps == final.reps
     assert all(type(r) is Fraction for r in state.reps)
     assert state.laps == final.laps
@@ -164,10 +163,9 @@ def test_run_resumes_a_countdown_across_calls():
     ring = Ring(F(17, 2))
     z = ObstacleField((F(5, 4),), (2,), (F(3, 2),), F(3, 2), ring)
     x = ParticleConfig.from_iterable((F(1, 3),), ring)
-    state = SimState.initial(x)
-    run(state, z, 2)
+    state = run(SimState.initial(x), z, 2).final_state
     assert state.wait_remaining == [1] and state.reps == [F(5, 4)]
-    run(state, z, 2)
+    state = run(state, z, 2).final_state
     states = fraction_run(x, z, 4)
     assert state.reps == states[-1].reps == [F(11, 4)]
 

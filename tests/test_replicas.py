@@ -96,8 +96,7 @@ def assert_batch_matches(z, states, steps):
     assert len(summaries) == len(states)
     pairs = []
     for (reps, laps), state, got in zip(states, batch.states, summaries):
-        alone_state = new_state([float(r) for r in reps], laps, zf.domain)
-        alone = run(alone_state, zf, steps, snapshot_times=times)
+        alone = run(new_state([float(r) for r in reps], laps, zf.domain), zf, steps, snapshot_times=times)
 
         oracle = new_state(reps, laps, z.domain)
         checker = InvariantChecker(z)
@@ -109,12 +108,14 @@ def assert_batch_matches(z, states, steps):
             pairs[-1].append((before, oracle))
             unwrapped.append(oracle.unwrapped())
 
-        assert got.final_state is state
+        final, alone_final = got.final_state, alone.final_state
+        assert final is not state
+        assert state == new_state([float(r) for r in reps], laps, zf.domain)
         assert got.snapshots == alone.snapshots
         assert got.snapshots == {t: tuple(map(float, unwrapped[t])) for t in times}
-        assert state.reps == alone_state.reps == [float(r) for r in oracle.reps]
-        assert state.laps == alone_state.laps == oracle.laps
-        assert state.time == alone_state.time == steps
+        assert final.reps == alone_final.reps == [float(r) for r in oracle.reps]
+        assert final.laps == alone_final.laps == oracle.laps
+        assert final.time == alone_final.time == steps
         assert got.invariant_violations == alone.invariant_violations == len(checker.violations)
     return pairs
 
@@ -160,6 +161,7 @@ def assert_replay_matches_stepping(z, states, steps, times=()):
             one = run(single, zf, 1)
             stepped[t], stepped[t + 1] = one.snapshots[0], one.snapshots[1]
             count += one.invariant_violations
+            single = one.final_state
 
         oracle = new_state(reps, laps, z.domain)
         checker = InvariantChecker(z)
@@ -169,10 +171,13 @@ def assert_replay_matches_stepping(z, states, steps, times=()):
             checker(before, oracle)
             unwrapped.append(oracle.unwrapped())
 
+        final = got.final_state
+        assert final is not state
+        assert state == new_state([float(r) for r in reps], laps, zf.domain)
         assert got.snapshots == {t: stepped[t] for t in reported}
         assert got.snapshots == {t: tuple(map(float, unwrapped[t])) for t in reported}
-        assert state.reps == single.reps == [float(r) for r in oracle.reps]
-        assert state.laps == single.laps == oracle.laps
+        assert final.reps == single.reps == [float(r) for r in oracle.reps]
+        assert final.laps == single.laps == oracle.laps
         assert got.invariant_violations == count == len(checker.violations)
         if got.cycle is not None:
             lam, s, gain = got.cycle
@@ -416,13 +421,11 @@ def test_lap_counts_that_could_pass_int64_are_refused():
     # one of 10**20 steps, could pass it, and so could a lap count given
     # past it; each is refused before a step, the state left as it was.
     z = ObstacleField.empty(Ring(2.0), 1.0)
-    state = SimState([0.0, 0.5], [0, 0], [0, 0], 0, z.domain)
-    run(state, z, 10**19)
+    state = run(SimState([0.0, 0.5], [0, 0], [0, 0], 0, z.domain), z, 10**19).final_state
     assert (state.reps, state.laps, state.time) == ([1.5, 0.5], [5 * 10**18 - 1, 5 * 10**18], 10**19)
     # at the bound's edge: 2 steps of a lone particle have a bound of
     # ceil(2 * (1 + 3 / 2**53) / 2) + 1 = 3 laps and gain 1
-    edge = SimState([0.0], [2**63 - 4], [0], 0, z.domain)
-    run(edge, z, 2)
+    edge = run(SimState([0.0], [2**63 - 4], [0], 0, z.domain), z, 2).final_state
     assert edge.laps == [2**63 - 3]
     for start, steps in (
         (state, 10**19),
