@@ -294,13 +294,14 @@ def _on_lattice(v, scale: int) -> int:
 def to_lattice(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple | None:
     """Exact inputs as integers on the lattice (1/D)Z, or None if any is a float.
 
-    D is the lcm of the denominators of the domain bounds, the field's
-    positions, velocities and top speed, and every given position. Returns
-    (D, domain, field, *positions), each value multiplied by D. Every move of
-    the dynamics lands on an obstacle, a neighbour's old position or p + v, so
-    a run stays on the lattice, and its comparisons, sums and differences on
-    these ints are exactly D times those on the inputs. An infinite line end
-    stays infinite.
+    z lies on domain, as run and run_coupled require. D is the lcm of the
+    denominators of the domain bounds, the field's positions, velocities
+    and top speed, and every given position. Returns (D, domain, field,
+    *positions), each value multiplied by D. Every move of the dynamics
+    lands on an obstacle, a neighbour's old position or p + v, so a run
+    stays on the lattice, and its comparisons, sums and differences on these
+    ints are exactly D times those on the inputs. An infinite line end stays
+    infinite.
     """
     values = [*z.positions, *z.velocities, z.top_speed]
     for dom in (domain, z.domain):
@@ -316,13 +317,12 @@ def to_lattice(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple 
         return None
     scale = math.lcm(*(v.denominator for v in values))
     lattice = _lattice_domain(domain, scale)
-    field_domain = lattice if z.domain == domain else _lattice_domain(z.domain, scale)
     scaled_z = ObstacleField(
         tuple(_on_lattice(p, scale) for p in z.positions),
         z.waits,
         tuple(_on_lattice(v, scale) for v in z.velocities),
         _on_lattice(z.top_speed, scale),
-        field_domain,
+        lattice,
     )
     scaled = (tuple(_on_lattice(p, scale) for p in group) for group in positions)
     return (scale, lattice, scaled_z, *scaled)

@@ -14,7 +14,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from functools import cached_property
+from itertools import compress, filterfalse
+from operator import le, lt
 from typing import Optional
 
 from .core import (
@@ -26,24 +28,28 @@ from .core import (
     Ring,
     to_lattice,
 )
-from .dynamics import SimState, _step_scalar, _Unscale
+from .dynamics import SimState, _check_steps, _step_scalar, _Unscale
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoupledState:
-    """Two step-locked processes, the pairing between them, and the clock.
+    """Two step-locked processes on one clock and the pairing between them: a
+    value, which no function here writes into.
 
     pairing maps first-process particle indices to second-process indices and
-    is a partial bijection.
+    is a partial bijection. time is the sides' one clock. The positions on
+    the covering line, the overtake ranks and the canonical starts are
+    derived from the sides once, on first use, as ObstacleField.table is.
     """
 
     x: SimState
     xbar: SimState
     z: ObstacleField
     pairing: dict = field(default_factory=dict)
-    time: int = 0
 
     def __post_init__(self):
+        if self.x.time != self.xbar.time:
+            raise ConfigurationError(f"the sides' clocks differ: {self.x.time} and {self.xbar.time}")
         vals = list(self.pairing.values())
         if len(set(vals)) != len(vals):
             raise ConfigurationError("pairing must be one-to-one")
@@ -55,44 +61,72 @@ class CoupledState:
         return cls(SimState.initial(x), SimState.initial(xbar), z)
 
     @property
+    def time(self) -> int:
+        return self.x.time
+
+    @property
+    def period(self):
+        """The ring's length, or None on a line."""
+        return self.z.domain.length if isinstance(self.z.domain, Ring) else None
+
+    @cached_property
+    def unwrapped(self) -> tuple:
+        """Both sides' positions on the covering line, (x, xbar)."""
+        return self.x.unwrapped(), self.xbar.unwrapped()
+
+    @cached_property
+    def ranks(self) -> tuple:
+        """Each side's _ranks against the other, (x among xbar, xbar among x)."""
+        (u_x, u_b), period = self.unwrapped, self.period
+        return _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
+
+    @cached_property
+    def starts(self) -> tuple:
+        """Each side's first particle in canonical order, (c_x, c_b): its
+        _canonical_start on a ring, particle 0 on a line or with an empty side."""
+        period = self.period
+        u_x, u_b = self.unwrapped
+        if period is None or not u_x or not u_b:
+            return 0, 0
+        return _canonical_start(self.x.reps, u_x, period), _canonical_start(self.xbar.reps, u_b, period)
+
+    @property
     def pair_count(self) -> int:
         return len(self.pairing)
 
     def defects_x(self) -> tuple:
-        return tuple(i for i in range(self.x.count) if i not in self.pairing)
+        return tuple(filterfalse(self.pairing.__contains__, range(self.x.count)))
 
     def defects_xbar(self) -> tuple:
         paired = set(self.pairing.values())
-        return tuple(j for j in range(self.xbar.count) if j not in paired)
+        return tuple(filterfalse(paired.__contains__, range(self.xbar.count)))
 
     def copy(self) -> "CoupledState":
-        return CoupledState(self.x.copy(), self.xbar.copy(), self.z, dict(self.pairing), self.time)
+        return CoupledState(self.x.copy(), self.xbar.copy(), self.z, dict(self.pairing))
 
     def _with(self, **changes) -> "CoupledState":
-        """This state with some fields replaced, shared otherwise, and the
-        pairing not checked again: callers pass one they keep one-to-one."""
+        """This state with some fields replaced, shared otherwise, and not
+        checked again: callers keep the pairing one-to-one and the sides on
+        one clock. The derived values come along unless a side is replaced."""
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, **changes)
+        kept = self.__dict__
+        if "x" in changes or "xbar" in changes:
+            kept = {"x": self.x, "xbar": self.xbar, "z": self.z, "pairing": self.pairing}
+        out.__dict__.update(kept, **changes)
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class OvertakeEvent:
     """One mover passing a contiguous block of opposite-process particles.
 
-    paired_anchor is the least overtaken index that was paired to a particle
-    other than the mover when the event was processed (None if none were);
-    repair_target is the index the pairing rules select for (re)pairing: the
-    largest overtaken index below the anchor that is free or held by the mover
-    itself, over the whole block when there is no anchor. Both are filled in
-    by apply_pairing, since they depend on the live pairing.
+    Which pairing rule the event meets depends on the pairing it is applied
+    to, so apply_pairing works it out there and leaves the event as it is.
     """
 
     side: str
     mover: int
     overtaken: tuple
-    paired_anchor: Optional[int] = None
-    repair_target: Optional[int] = None
 
     def __post_init__(self):
         if self.side not in ("x", "xbar"):
@@ -147,8 +181,10 @@ def _ranks(u_mine, u_other, period) -> list:
 
 def _side_events(side, mover_prev, mover_next, rank_prev, rank_next, n_other):
     events = []
-    for i, (lo, stop) in enumerate(zip(rank_prev, rank_next)):
-        if lo < stop and mover_next[i] > mover_prev[i]:
+    # only a mover whose rank rose passed a copy
+    for i in compress(range(len(rank_prev)), map(lt, rank_prev, rank_next)):
+        lo, stop = rank_prev[i], rank_next[i]
+        if mover_next[i] > mover_prev[i]:
             if stop - lo > n_other:
                 raise InvariantViolationError(
                     f"mover {i} swept more than one full lap of the other process"
@@ -157,13 +193,7 @@ def _side_events(side, mover_prev, mover_next, rank_prev, rank_next, n_other):
     return events
 
 
-def detect_overtakes(
-    prev: CoupledState,
-    next_state: CoupledState,
-    *,
-    unwrapped: Optional[tuple] = None,
-    ranks: Optional[tuple] = None,
-) -> list:
+def detect_overtakes(prev: CoupledState, next_state: CoupledState) -> list:
     """All passing events between consecutive states, first-process side first.
 
     On a ring a mover may pass a periodic copy of an opposite-process
@@ -171,31 +201,18 @@ def detect_overtakes(
     particle, index // count the lap shift of the copy passed. Asserts the
     structural facts the pairing rules rely on: per side, no copy is overtaken
     by two movers; a mover overtaken the same step must coincide with its
-    overtaker exactly.
-
-    unwrapped, if given, is the unwrapped positions (x before, x after, xbar
-    before, xbar after), and ranks, if given, their _ranks against the other
-    side at the same time, in the same order; the function otherwise
-    computes them. A run carries each step's ranks after into the next step
-    as its ranks before.
+    overtaker exactly. Reads each state's unwrapped positions and ranks, so
+    a run that steps from a state it detected against reuses them.
     """
     if prev.x.count != next_state.x.count or prev.xbar.count != next_state.xbar.count:
         raise ConfigurationError("mismatched states")
     if next_state.time != prev.time + 1:
         raise ConfigurationError(f"states are {next_state.time - prev.time} steps apart, expected 1")
-    period = prev.z.domain.length if isinstance(prev.z.domain, Ring) else None
-    x_prev, x_next, b_prev, b_next = unwrapped or (
-        prev.x.unwrapped(),
-        next_state.x.unwrapped(),
-        prev.xbar.unwrapped(),
-        next_state.xbar.unwrapped(),
-    )
-    rx_prev, rx_next, rb_prev, rb_next = ranks or (
-        _ranks(x_prev, b_prev, period),
-        _ranks(x_next, b_next, period),
-        _ranks(b_prev, x_prev, period),
-        _ranks(b_next, x_next, period),
-    )
+    period = prev.period
+    x_prev, b_prev = prev.unwrapped
+    x_next, b_next = next_state.unwrapped
+    rx_prev, rb_prev = prev.ranks
+    rx_next, rb_next = next_state.ranks
     n_x, n_b = len(x_prev), len(b_prev)
     ev_x = _side_events("x", x_prev, x_next, rx_prev, rx_next, n_b)
     ev_b = _side_events("xbar", b_prev, b_next, rb_prev, rb_next, n_x)
@@ -206,33 +223,20 @@ def detect_overtakes(
                 raise InvariantViolationError(
                     f"t={next_state.time}: movers {a.mover},{b.mover} overtake a shared particle"
                 )
-    movers_x = {ev.mover: ev for ev in ev_x}
-    movers_b = {ev.mover: ev for ev in ev_b}
-    for ev in ev_x:
-        for m in ev.overtaken:
-            hit = movers_b.get(m % n_b)
-            if hit is not None and _ext_pos(b_next, m, period) != x_next[ev.mover]:
-                raise InvariantViolationError(
-                    f"t={next_state.time}: mover {ev.mover} overtook counter-mover {m % n_b} without coincidence"
-                )
-    for ev in ev_b:
-        for m in ev.overtaken:
-            hit = movers_x.get(m % n_x)
-            if hit is not None and _ext_pos(x_next, m, period) != b_next[ev.mover]:
-                raise InvariantViolationError(
-                    f"t={next_state.time}: mover {ev.mover} overtook counter-mover {m % n_x} without coincidence"
-                )
+    sides = ((ev_x, ev_b, x_next, b_next, n_b), (ev_b, ev_x, b_next, x_next, n_x))
+    for evs, counter, u_mine, u_other, n in sides:
+        movers = {ev.mover for ev in counter}
+        for ev in evs:
+            for m in ev.overtaken:
+                if m % n in movers and _ext_pos(u_other, m, period) != u_mine[ev.mover]:
+                    raise InvariantViolationError(
+                        f"t={next_state.time}: mover {ev.mover} overtook counter-mover {m % n} without coincidence"
+                    )
     return ev_x + ev_b
 
 
-def apply_pairing(
-    state: CoupledState,
-    events: list,
-    *,
-    unwrapped: Optional[tuple] = None,
-    inverse: Optional[dict] = None,
-) -> CoupledState:
-    """Run the pairing rules over the events against the live pairing.
+def apply_pairing(state: CoupledState, events: list) -> CoupledState:
+    """Run the pairing rules over the events against the state's pairing.
 
     The first process's events run first, then the second's. On a ring each
     side's events run in cyclic mover order from the side's _canonical_start,
@@ -253,26 +257,20 @@ def apply_pairing(
     Last, on each side the pairs of every stack of co-located particles go to
     the particles that leave the stack first.
 
-    unwrapped, if given, is the state's unwrapped positions (x, xbar), which
-    the function otherwise computes. inverse, if given, is the state's pairing
-    inverted (second-process index to first); it is updated in place to the
-    result's, so a run carries one inverse from step to step. The input state
-    is left as it was; with no events and no stack on either side it is
-    returned.
+    The result is a new state with the state's positions and their derived
+    values; the state and the events are left as they were. With no events
+    and no stack on either side the state itself is returned.
     """
-    u_x, u_b = unwrapped or (state.x.unwrapped(), state.xbar.unwrapped())
-    period = state.z.domain.length if isinstance(state.z.domain, Ring) else None
+    u_x, u_b = state.unwrapped
+    period = state.period
     depths_x, depths_b = _stack_depths(u_x, period), _stack_depths(u_b, period)
     if not events and not any(depths_x) and not any(depths_b):
         return state
     fwd = dict(state.pairing)
-    inv = {j: i for i, j in fwd.items()} if inverse is None else inverse
+    inv = dict(zip(fwd.values(), fwd))
     # each side's events from its first particle by position (see above)
     n_x, n_b = len(u_x), len(u_b)
-    c_x = c_b = 0
-    if events and period is not None:
-        c_x = _canonical_start(state.x.reps, u_x, period)
-        c_b = _canonical_start(state.xbar.reps, u_b, period)
+    c_x, c_b = state.starts
 
     def order(ev):
         return (0, (ev.mover - c_x) % n_x) if ev.side == "x" else (1, (ev.mover - c_b) % n_b)
@@ -294,8 +292,6 @@ def apply_pairing(
                 anchor = m
                 break
             target = m
-        ev.paired_anchor = anchor
-        ev.repair_target = target
 
         if i in mine:
             if target is not None:
@@ -401,7 +397,7 @@ def is_proper(state: CoupledState) -> list:
     if not state.pairing:
         return out
     z = state.z
-    period = z.domain.length if isinstance(z.domain, Ring) else None
+    period = state.period
     speed, obstacle, obstacle_laps, _ = z.table
     # the positions taken in [0, L) on a ring; a partner's offset needs no more
     r_x, r_b = state.x.reps, state.xbar.reps
@@ -515,7 +511,12 @@ def run_coupled(
     already stepped and checked. The run stops stepping at the first match:
     later rows are the period's rows renumbered, with v_gap_abs read off R^q
     of the state at the same phase, and so is the final state.
+
+    Each state derives its unwrapped positions, ranks and canonical starts
+    once. Pairing keeps them, so the paired state the next step starts from
+    holds its ranks and the run carries nothing else from step to step.
     """
+    _check_steps(steps)
     if not isinstance(x.domain, Ring):
         raise ConfigurationError("coupled runs require a ring domain")
     if x.domain != xbar.domain or z.domain != x.domain:
@@ -533,29 +534,21 @@ def run_coupled(
     scale, domain, z_work, px, pb = lattice
     state = CoupledState.initial(ParticleConfig(px, domain), ParticleConfig(pb, domain), z_work)
     initial_defects = state.x.count + state.xbar.count
-    # each step's unwrapped positions and ranks are built once, and are the next step's "before"
     period = domain.length
-    u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
-    r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
-    start_x, start_b = u_x[0], u_b[0]
-    inverse = {}
+    start_x, start_b = (u[0] for u in state.unwrapped)
     rows = []
     # per step from t=0: its key and its marks; per key, the step that had it
-    key, mark = _canonical_key(state, u_x, u_b, period)
+    key, mark = _canonical_key(state)
     keys, marks = [key], [mark]
     seen = {key: 0}
     cycle = None
 
     for t in range(1, steps + 1):
-        prev, prev_x, prev_b, prev_rx, prev_rb = state, u_x, u_b, r_x, r_b
-        state = prev._with(x=_step_scalar(prev.x, z_work), xbar=_step_scalar(prev.xbar, z_work), time=t)
-        u_x, u_b = state.x.unwrapped(), state.xbar.unwrapped()
-        r_x, r_b = _ranks(u_x, u_b, period), _ranks(u_b, u_x, period)
-        events = detect_overtakes(
-            prev, state, unwrapped=(prev_x, u_x, prev_b, u_b), ranks=(prev_rx, r_x, prev_rb, r_b)
-        )
-        state = apply_pairing(state, events, unwrapped=(u_x, u_b), inverse=inverse)
+        prev = state
+        state = prev._with(x=_step_scalar(prev.x, z_work), xbar=_step_scalar(prev.xbar, z_work))
+        state = apply_pairing(state, detect_overtakes(prev, state))
 
+        u_x, u_b = state.unwrapped
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
         v_gap_abs = Fraction(abs((u_x[0] - start_x) - (u_b[0] - start_b)), scale)
@@ -573,7 +566,7 @@ def run_coupled(
             )
         rows.append((t, d_x, d_b, state.pair_count, v_gap_abs, 1))
 
-        key, mark = _canonical_key(state, u_x, u_b, period)
+        key, mark = _canonical_key(state)
         mu = seen.setdefault(key, t)
         if mu < t:
             # how far R moves each side's start and base laps
@@ -634,21 +627,20 @@ def _canonical_start(reps: list, u: tuple, period) -> int:
     return c
 
 
-def _canonical_key(state: CoupledState, u_x: tuple, u_b: tuple, period) -> tuple:
+def _canonical_key(state: CoupledState) -> tuple:
     """A lattice coupled state up to a cyclic relabelling and a whole-lap
     shift of each side: (key, marks).
 
-    Each side is read from its _canonical_start c, one lap on past its last
-    particle. Read so, its positions ascend from the least rep and span at
-    most a lap, and no particle but c's stack stands at that rep, so each
-    stands at its rep plus the whole laps of particle c, its base. The key
-    is one flat tuple of both sides' reps and countdowns read so, and x's
-    partners as canonical xbar indices (None for a defect). marks is (c_x,
-    c_b, base_x, base_b). Two states with equal keys are one relabelling and
-    lap shift of each other, and their marks give it.
+    Each side is read from its start c (CoupledState.starts), one lap on
+    past its last particle. Read so, its positions ascend from the least rep
+    and span at most a lap, and no particle but c's stack stands at that rep,
+    so each stands at its rep plus the whole laps of particle c, its base.
+    The key is one flat tuple of both sides' reps and countdowns read so, and
+    x's partners as canonical xbar indices (None for a defect). marks is
+    (c_x, c_b, base_x, base_b). Two states with equal keys are one
+    relabelling and lap shift of each other, and their marks give it.
     """
-    c_x = _canonical_start(state.x.reps, u_x, period)
-    c_b = _canonical_start(state.xbar.reps, u_b, period)
+    c_x, c_b = state.starts
     r_x, r_b = state.x.reps, state.xbar.reps
     w_x, w_b = state.x.wait_remaining, state.xbar.wait_remaining
     n_b = len(r_b)
@@ -688,11 +680,11 @@ def _from_canonical_key(
         p = partners[(j - c_x) % n]
         if p is not None:
             pairing[j] = (p + c_b) % n
-    return CoupledState(side(0, c_x, base_x), side(1, c_b, base_b), z, pairing, time)
+    return CoupledState(side(0, c_x, base_x), side(1, c_b, base_b), z, pairing)
 
 
 def _in_input_units(state: CoupledState, z: ObstacleField, scale: int) -> CoupledState:
     """A lattice state (positions times scale) as a state on z."""
     unscale = _Unscale(scale)
     x, xbar = (unscale.state(s, z.domain) for s in (state.x, state.xbar))
-    return CoupledState(x, xbar, z, dict(state.pairing), state.time)
+    return CoupledState(x, xbar, z, dict(state.pairing))

@@ -284,11 +284,11 @@ class Replicas:
         return sum(s.count for s in self.states)
 
 
-def _fast_field(z: ObstacleField, domain: Domain) -> bool:
-    """Whether the vectorized kernel takes field z on domain: floats, no waits."""
+def _fast_field(z: ObstacleField) -> bool:
+    """Whether the vectorized kernel takes field z: floats, no waits."""
     values = [*z.positions, *z.velocities, z.top_speed]
-    if isinstance(domain, Ring):
-        values.append(domain.length)
+    if isinstance(z.domain, Ring):
+        values.append(z.domain.length)
     return all(isinstance(v, float) for v in values) and not any(w > 0 for w in z.waits)
 
 
@@ -303,7 +303,7 @@ def _fast_state(state: SimState) -> bool:
 
 
 def _fast_eligible(state: SimState, z: ObstacleField) -> bool:
-    return _fast_state(state) and _fast_field(z, state.domain)
+    return _fast_state(state) and _fast_field(z)
 
 
 def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -> tuple:
@@ -601,6 +601,15 @@ def _summaries(steps: int, finals: list, snapshots: dict, violations, cycles) ->
         start = stop
 
 
+def _check_steps(steps: int, *times: int) -> None:
+    """Refuse a step count or time that is not an int (a bool, a float or a
+    string), and a negative step count."""
+    if not_int := [t for t in (steps, *times) if isinstance(t, bool) or not isinstance(t, int)]:
+        raise ConfigurationError(f"step count and snapshot times must be ints, got {not_int}")
+    if steps < 0:
+        raise ConfigurationError("step count must be nonnegative")
+
+
 def run(
     state: SimState | Replicas,
     z: ObstacleField,
@@ -608,7 +617,8 @@ def run(
     observers: Iterable[Callable] = (),
     snapshot_times: Iterable[int] = (),
 ) -> TrajectorySummary | Iterator[TrajectorySummary]:
-    """Apply the step map repeatedly; steps and the snapshot times are ints.
+    """Apply the step map repeatedly; steps and the snapshot times are ints,
+    and every state lies on z's domain.
 
     The run writes nothing into state, also when an observer fails. Its last
     state comes back as final_state, a new state, also after 0 steps.
@@ -626,28 +636,26 @@ def run(
 
     A Replicas batch gives an iterator of one TrajectorySummary per replica,
     in order, each built as it is reached. Without observers, replicas that
-    are all eligible and share one domain step together in one kernel call;
-    otherwise each replica runs alone.
+    are all eligible step together in one kernel call; otherwise each
+    replica runs alone.
     """
-    times = (steps, *snapshot_times)
-    if not_int := [t for t in times if isinstance(t, bool) or not isinstance(t, int)]:
-        raise ConfigurationError(f"step count and snapshot times must be ints, got {not_int}")
-    if steps < 0:
-        raise ConfigurationError("step count must be nonnegative")
+    snapshot_times = tuple(snapshot_times)
+    _check_steps(steps, *snapshot_times)
     observers = tuple(observers)
-    snapshot_at = {0, *times}
+    snapshot_at = {0, steps, *snapshot_times}
     outside = sorted(t for t in snapshot_at if not 0 <= t <= steps)
     if outside:
         raise ConfigurationError(f"snapshot times {outside} outside the run's [0, {steps}]")
 
     batch = state if isinstance(state, Replicas) else Replicas((state,))
     states = batch.states
+    if any(s.domain != z.domain for s in states):
+        raise ConfigurationError(f"every state must lie on the field's domain {z.domain}")
     # the field is checked once for the batch, each replica's own values once
     if (
         states
         and not observers
-        and all(s.domain == states[0].domain for s in states)
-        and _fast_field(z, states[0].domain)
+        and _fast_field(z)
         and all(map(_fast_state, states))
     ):
         runs = _summaries(steps, *_run_fast(batch, z, steps, snapshot_at))

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -21,8 +22,10 @@ from contasep import (
     run_coupled,
 )
 from contasep.core import INFINITY
+from contasep import coupling
 from contasep.coupling import _ranks
 from contasep.dynamics import _step_scalar
+from contasep.scenarios import poisson_obstacles
 
 F = Fraction
 HALF_LINE = Line(0, INFINITY)
@@ -48,11 +51,9 @@ def coupled(x_pos, xbar_pos, z, pairing=None, domain=HALF_LINE):
 
 
 def advance(state):
-    prev = state.copy()
-    state.x = _step_scalar(state.x, state.z)
-    state.xbar = _step_scalar(state.xbar, state.z)
-    state.time += 1
-    return prev, state
+    """(state, the state one step on with the same pairing)."""
+    z = state.z
+    return state, CoupledState(_step_scalar(state.x, z), _step_scalar(state.xbar, z), z, state.pairing)
 
 
 def test_event_validation():
@@ -78,6 +79,14 @@ def test_initial_requires_shared_domain():
             ParticleConfig.from_iterable((0,), Ring(5)),
             z,
         )
+
+
+def test_sides_must_share_one_clock():
+    z = ObstacleField.empty(HALF_LINE, 1)
+    state = coupled((0,), (1,), z)
+    with pytest.raises(ConfigurationError, match="the sides' clocks differ: 1 and 0"):
+        CoupledState(_step_scalar(state.x, z), state.xbar, z)
+    assert advance(state)[1].time == 1
 
 
 def test_defect_listings_and_copy_independence():
@@ -112,48 +121,6 @@ def test_detect_no_crossings_no_events():
     assert detect_overtakes(prev, state) == []
 
 
-def carried_detect(prev, state, ranks_before):
-    """detect_overtakes as run_coupled calls it; returns (events, ranks after)."""
-    period = state.z.domain.length
-    u_prev = (prev.x.unwrapped(), prev.xbar.unwrapped())
-    u = (state.x.unwrapped(), state.xbar.unwrapped())
-    after = (_ranks(u[0], u[1], period), _ranks(u[1], u[0], period))
-    events = detect_overtakes(
-        prev,
-        state,
-        unwrapped=(u_prev[0], u[0], u_prev[1], u[1]),
-        ranks=(ranks_before[0], after[0], ranks_before[1], after[1]),
-    )
-    return events, after
-
-
-def test_carried_ranks_give_the_events_computed_alone():
-    # run_coupled bisects each position once per step and carries the ranks
-    # into the next step; the events must be those detect_overtakes finds alone
-    rng = random.Random(11)
-    seam_movers = outside = 0
-    for _ in range(40):
-        length = rng.randint(3, 10)
-        ring = Ring(length)
-        zpos = sorted(rng.sample([F(p, 2) for p in range(2 * length)], rng.randint(0, 4)))
-        speeds = [rng.choice((F(1, 2), 1, F(3, 2))) for _ in zpos]
-        z = make_field(zpos, ring, velocities=speeds, top=F(3, 2))
-        n = rng.randint(1, 6)
-        x_pos, xbar_pos = ([F(rng.randrange(4 * length), 4) for _ in range(n)] for _ in "xb")
-        state = coupled(x_pos, xbar_pos, z, domain=ring)
-        u = (state.x.unwrapped(), state.xbar.unwrapped())
-        ranks = (_ranks(u[0], u[1], length), _ranks(u[1], u[0], length))
-        for _ in range(30):
-            prev, state = advance(state)
-            events, ranks = carried_detect(prev, state, ranks)
-            assert events == detect_overtakes(prev, state)
-            for ev in events:
-                before, after = (prev.x, state.x) if ev.side == "x" else (prev.xbar, state.xbar)
-                seam_movers += before.laps[ev.mover] != after.laps[ev.mover]
-                outside += not all(0 <= m < n for m in ev.overtaken)
-    assert seam_movers and outside
-
-
 def test_ranks_count_the_extended_copies():
     # against a count over the copies of u_other on laps -4..4: one side of a
     # ring in order (ties and a stack across the seam included), values on up
@@ -178,12 +145,9 @@ def test_ranks_count_the_extended_copies():
 def test_a_mover_sweeping_more_than_a_lap_is_refused():
     ring = Ring(4)
     prev = coupled((0,), (2,), ObstacleField.empty(ring, 1), domain=ring)
-    state = prev.copy()
-    state.x.reps, state.x.laps, state.time = [1], [2], 1
-    ranks = (_ranks((0,), (2,), 4), _ranks((2,), (0,), 4))
-    for detect in (lambda: detect_overtakes(prev, state), lambda: carried_detect(prev, state, ranks)):
-        with pytest.raises(InvariantViolationError, match="mover 0 swept more than one full lap"):
-            detect()
+    state = CoupledState(SimState([1], [2], [0], 1, ring), SimState([2], [0], [0], 1, ring), prev.z)
+    with pytest.raises(InvariantViolationError, match="mover 0 swept more than one full lap"):
+        detect_overtakes(prev, state)
 
 
 def test_pair_born_at_shared_obstacle():
@@ -218,21 +182,23 @@ def test_strict_overtake_transports_defect_right():
         pairing={1: 0, 2: 1},
     )
     assert is_proper(state) == []
-    prev, state = advance(state)
-    events = detect_overtakes(prev, state)
+    prev, moved = advance(state)
+    events = detect_overtakes(prev, moved)
     assert [(e.side, e.mover, e.overtaken) for e in events] == [
         ("x", 0, (0,)),
         ("xbar", 1, (1,)),
     ]
-    state = apply_pairing(state, events)
+    state = apply_pairing(moved, events)
     assert state.pairing == {0: 0, 1: 1}
     assert state.defects_x() == (2,)
     assert state.defects_xbar() == ()
     assert is_proper(state) == []
-    # the annotations expose which branch each event took
+    # each event's branch shows in the pairing it leads to: x0 takes xbar 0
+    # over from x1, then xbar 1 leaves x2 and repairs with the freed x1
     takeover, repair = events
-    assert takeover.paired_anchor == 0 and takeover.repair_target is None
-    assert repair.paired_anchor is None and repair.repair_target == 1
+    taken = apply_pairing(moved, [takeover])
+    assert taken.pairing == {0: 0, 2: 1}
+    assert apply_pairing(taken, [repair]).pairing == {0: 0, 1: 1}
 
 
 def test_defect_count_difference_invariant_under_rules():
@@ -363,7 +329,6 @@ def test_stacked_pairs_leave_their_stacks_in_order():
         side((6, 11, F(27, 2), F(27, 2), 15), (0, 0, 1, 0, 1)),
         z,
         pairing={1: 3, 2: 2, 3: 4, 4: 0},
-        time=8,
     )
     assert is_proper(state) == []
     state = apply_pairing(state, [])
@@ -371,6 +336,83 @@ def test_stacked_pairs_leave_their_stacks_in_order():
     prev, state = advance(state)
     state = apply_pairing(state, detect_overtakes(prev, state))
     assert is_proper(state) == []
+
+
+def test_detect_and_apply_write_nothing_into_their_inputs():
+    # a takeover and a repair (the defect transport above), then a stack
+    # re-deal (the stacked pairs above): the states and events after each
+    # call equal deep copies taken before it
+    z = ObstacleField.empty(HALF_LINE, 1)
+    transport = coupled((F(1, 2), F(27, 20), F(9, 5)), (1, F(13, 10)), z, pairing={1: 0, 2: 1})
+    ring = Ring(10)
+
+    def side(unwrapped, waits):
+        return SimState([u % 10 for u in unwrapped], [int(u // 10) for u in unwrapped], list(waits), 8, ring)
+
+    stacked = CoupledState(
+        side((F(25, 2), F(27, 2), F(27, 2), 15, 15), (0, 1, 0, 1, 0)),
+        side((6, 11, F(27, 2), F(27, 2), 15), (0, 0, 1, 0, 1)),
+        make_field((F(5, 2), F(7, 2), 5), ring, waits=(0, 1, 1)),
+        pairing={1: 3, 2: 2, 3: 4, 4: 0},
+    )
+    seen = []
+    for state in (transport, stacked):
+        prev, moved = advance(state)
+        before = copy.deepcopy((prev, moved))
+        events = detect_overtakes(prev, moved)
+        assert (prev, moved) == before
+        for given, evs in ((moved, events), (state, [])):
+            before = copy.deepcopy((given, evs))
+            paired = apply_pairing(given, evs)
+            assert (given, evs) == before
+            seen.append(paired.pairing != given.pairing)
+        if state is transport:
+            assert [(e.side, e.mover) for e in events] == [("x", 0), ("xbar", 1)]
+    # the pairing changed where the rules apply: the transport's events and
+    # the stack's re-deal
+    assert seen == [True, False, False, True]
+
+
+@pytest.mark.parametrize("steps", [1, 10, 30, 150, 1000])
+def test_run_coupled_derives_each_states_values_once(steps, monkeypatch):
+    # criterion 10's wait-free ring repeats at t=49 (cycle (48, 1, 1, 1)), so
+    # min(steps, 49) + 1 states are stepped. Each state's ranks serve as the
+    # "after" of one step and the "before" of the next: two _ranks calls a
+    # state, and at most two _canonical_start calls, whatever the step count
+    ring = Ring(100)
+    z = poisson_obstacles(ring, 0.35, seed=13, quantize=100, velocity=4)
+
+    def draw(seed):
+        rng = random.Random(seed)
+        return ParticleConfig.from_iterable(
+            (F(round(rng.uniform(0.0, 100.0) * 100), 100) % 100 for _ in range(50)), ring
+        )
+
+    calls = {"_ranks": 0, "_canonical_start": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(coupling, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(coupling, name, counted)
+    diag = run_coupled(draw(21), draw(22), z, steps)
+    states = min(steps, 49) + 1
+    assert diag.cycle == (None if steps < 49 else (48, 1, 1, 1))
+    assert calls["_ranks"] == 2 * states
+    assert 0 < calls["_canonical_start"] <= 2 * states
+
+
+def test_run_coupled_refuses_a_step_count_that_is_not_a_nonnegative_int():
+    # -3 once gave no rows and a verdict, True one step, and 2.5 or "3" a
+    # TypeError traceback
+    ring = Ring(8)
+    x = ParticleConfig.from_iterable((0, 4), ring)
+    z = ObstacleField.empty(ring, 1)
+    with pytest.raises(ConfigurationError, match="step count must be nonnegative"):
+        run_coupled(x, x, z, -3)
+    for steps in (True, 2.5, "3"):
+        with pytest.raises(ConfigurationError, match=r"must be ints, got \["):
+            run_coupled(x, x, z, steps)
 
 
 def test_run_coupled_identical_sides_never_drift():

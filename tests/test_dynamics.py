@@ -375,6 +375,19 @@ def test_run_refuses_steps_and_snapshot_times_that_are_not_ints(length, steps, t
     assert str(exc.value) == f"step count and snapshot times must be ints, got {refused}"
 
 
+@pytest.mark.parametrize("num", [F, float], ids=["fraction", "float"])
+def test_run_refuses_a_field_on_another_domain(num):
+    # a Ring(8) state stepped on a Ring(10) field once wrapped at 10, and a
+    # state on the window [0, 8] walked past 8; both engines refuse it now
+    ring, line = Ring(num(10)), Line(num(0), INFINITY)
+    for domain, z_domain in ((Ring(num(8)), ring), (Line(num(0), num(8)), line), (Line(num(0), num(8)), ring)):
+        z = ObstacleField((num(3),), (0,), (num(1),), num(1), z_domain)
+        state = SimState.initial(ParticleConfig.from_iterable((num(6), num(7)), domain))
+        for given in (state, Replicas((state,))):
+            with pytest.raises(ConfigurationError, match=r"every state must lie on the field's domain"):
+                run(given, z, 5)
+
+
 ring_cases = st.builds(
     lambda length, picks, obst, vel: (
         ParticleConfig.from_iterable(tuple(F(p, 4) for p in picks), Ring(length)),
