@@ -31,10 +31,14 @@ from .core import (
 from .dynamics import SimState, _check_steps, _step_scalar, _Unscale
 
 
+def _indices(values, count) -> bool:
+    """Whether every value is an int in range(count)."""
+    return all(isinstance(v, int) and 0 <= v < count for v in values)
+
+
 @dataclass(frozen=True)
 class CoupledState:
-    """Two step-locked processes on one clock and the pairing between them: a
-    value, which no function here writes into.
+    """Two step-locked processes on one clock and the pairing between them.
 
     pairing maps first-process particle indices to second-process indices and
     is a partial bijection. time is the sides' one clock. The positions on
@@ -51,6 +55,10 @@ class CoupledState:
         if self.x.time != self.xbar.time:
             raise ConfigurationError(f"the sides' clocks differ: {self.x.time} and {self.xbar.time}")
         vals = list(self.pairing.values())
+        if not _indices(self.pairing, self.x.count) or not _indices(vals, self.xbar.count):
+            raise ConfigurationError(
+                f"pairing must map indices of x ({self.x.count}) to indices of xbar ({self.xbar.count}), got {self.pairing}"
+            )
         if len(set(vals)) != len(vals):
             raise ConfigurationError("pairing must be one-to-one")
 
@@ -100,9 +108,6 @@ class CoupledState:
     def defects_xbar(self) -> tuple:
         paired = set(self.pairing.values())
         return tuple(filterfalse(paired.__contains__, range(self.xbar.count)))
-
-    def copy(self) -> "CoupledState":
-        return CoupledState(self.x.copy(), self.xbar.copy(), self.z, dict(self.pairing))
 
     def _with(self, **changes) -> "CoupledState":
         """This state with some fields replaced, shared otherwise, and not
@@ -257,9 +262,9 @@ def apply_pairing(state: CoupledState, events: list) -> CoupledState:
     Last, on each side the pairs of every stack of co-located particles go to
     the particles that leave the stack first.
 
-    The result is a new state with the state's positions and their derived
-    values; the state and the events are left as they were. With no events
-    and no stack on either side the state itself is returned.
+    The result shares the state's positions and their derived values, with
+    a new pairing. With no events and no stack on either side the state
+    itself is returned.
     """
     u_x, u_b = state.unwrapped
     period = state.period
@@ -668,11 +673,10 @@ def _from_canonical_key(
     n = len(key) // 5
 
     def side(part, c, base) -> SimState:
-        # particle j is canonical particle i, turns laps past the base
-        turns, index = zip(*(divmod(j - c, n) for j in range(n)))
-        reps = [key[part * n + i] for i in index]
-        waits = [key[(2 + part) * n + i] for i in index]
-        return SimState(reps, [base + k for k in turns], waits, time, z.domain)
+        # particle j is canonical particle (j - c) % n, (j - c) // n laps past the base
+        k, r = divmod(c, n)
+        reps, waits = (key[p * n + n - r : p * n + n] + key[p * n : p * n + n - r] for p in (part, 2 + part))
+        return SimState(reps, (base - k - 1,) * r + (base - k,) * (n - r), waits, time, z.domain)
 
     partners = key[4 * n :]
     pairing = {}

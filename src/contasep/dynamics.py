@@ -33,30 +33,41 @@ from .core import (
     ParticleConfig,
     Ring,
     Scalar,
+    _as_tuple,
     _tolerance,
     to_lattice,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
-    """Simulation state, which step and run read and never write: they hand back new states.
+    """Simulation state: a value, its per-particle sequences held as tuples.
 
     reps are representative positions (in [0, L) on a ring); laps count ring
     wraps so unwrapped positions are laps[i] * L + reps[i]. wait_remaining
     holds the per-particle waiting countdown (0 when idle).
     """
 
-    reps: list
-    laps: list
-    wait_remaining: list
+    reps: tuple
+    laps: tuple
+    wait_remaining: tuple
     time: int
     domain: Domain
+
+    def __post_init__(self):
+        object.__setattr__(self, "reps", _as_tuple(self.reps))
+        object.__setattr__(self, "laps", _as_tuple(self.laps))
+        object.__setattr__(self, "wait_remaining", _as_tuple(self.wait_remaining))
+        if not len(self.reps) == len(self.laps) == len(self.wait_remaining):
+            raise ConfigurationError(
+                "reps, laps and wait_remaining must have equal length, got "
+                f"{len(self.reps)}, {len(self.laps)} and {len(self.wait_remaining)}"
+            )
 
     @classmethod
     def initial(cls, x: ParticleConfig) -> "SimState":
         n = x.count
-        return cls(list(x.positions), [0] * n, [0] * n, 0, x.domain)
+        return cls(x.positions, (0,) * n, (0,) * n, 0, x.domain)
 
     @property
     def count(self) -> int:
@@ -66,19 +77,10 @@ class SimState:
         if isinstance(self.domain, Ring):
             length = self.domain.length
             return tuple(l * length + r for l, r in zip(self.laps, self.reps))
-        return tuple(self.reps)
+        return self.reps
 
     def config(self) -> ParticleConfig:
-        return ParticleConfig(tuple(self.reps), self.domain)
-
-    def copy(self) -> "SimState":
-        return SimState(
-            list(self.reps),
-            list(self.laps),
-            list(self.wait_remaining),
-            self.time,
-            self.domain,
-        )
+        return ParticleConfig(self.reps, self.domain)
 
 
 def displacements(before: SimState, after: SimState) -> tuple:
@@ -93,8 +95,7 @@ def displacements(before: SimState, after: SimState) -> tuple:
 
 
 def _step_scalar(state: SimState, z: ObstacleField) -> SimState:
-    """One step of every particle: returns the next state and writes nothing
-    to state or its lists.
+    """One step of every particle: the next state.
 
     Each particle's candidates, the next obstacle strictly ahead, its
     neighbour's old position and p + its segment speed, are compared as
@@ -247,7 +248,7 @@ class TrajectoryWriter:
 class TrajectorySummary:
     """Result of a run: snapshots of unwrapped positions keyed by time.
 
-    final_state is the run's last state, a new one; a split run resumes from it.
+    final_state is the run's last state; a split run resumes from it.
     invariant_violations is None where the scalar engine ran: it checks nothing.
     cycle is (lam, s, G) when the vectorized kernel found the state of a ring
     run repeating with period lam: each particle i then stands, lam steps
@@ -315,7 +316,7 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     tie-breaks, reading the same z.table, so each replica's positions are
     bit-identical to it. One body serves both domains: a line wraps at
     INFINITY and a lap on it adds no length, and a line's leader sees
-    itself one lap ahead, a gap no line move reaches. finals are new final
+    itself one lap ahead, a gap no line move reaches. finals are the final
     states, one per replica; snapshots maps a time to the flat array of
     unwrapped positions; violations holds each replica's invariant count,
     the same as the replica reports when run alone.
@@ -473,7 +474,7 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     else:
         violations = counts()
     finals = [
-        SimState(reps[a:b].tolist(), laps[a:b].tolist(), list(s.wait_remaining), s.time + steps, s.domain)
+        SimState(reps[a:b].tolist(), laps[a:b].tolist(), s.wait_remaining, s.time + steps, s.domain)
         for s, a, b in zip(states, first, last + 1)
     ]
     return finals, snapshots, violations, replay.cycles if replay else [None] * len(states)
@@ -620,8 +621,7 @@ def run(
     """Apply the step map repeatedly; steps and the snapshot times are ints,
     and every state lies on z's domain.
 
-    The run writes nothing into state, also when an observer fails. Its last
-    state comes back as final_state, a new state, also after 0 steps.
+    Its last state comes back as final_state, also after 0 steps.
     Snapshots of unwrapped positions are always taken at t=0 and t=steps,
     plus any requested times in [0, steps] (relative to the start of this
     run). When no observers are attached and the input is float-valued with
@@ -631,8 +631,8 @@ def run(
     the run exactly (TrajectorySummary.cycle).
     Exact input is stepped as integers on its lattice (see to_lattice);
     snapshots and the final state come back in input units as Fractions.
-    Each observer is called as obs(before, after) on each step's states:
-    copies in input units, which the run never steps from.
+    Each observer is called as obs(before, after) on each step's states, in
+    input units.
 
     A Replicas batch gives an iterator of one TrajectorySummary per replica,
     in order, each built as it is reached. Without observers, replicas that
@@ -666,15 +666,14 @@ def run(
     lattice = to_lattice(state.domain, z, state.reps)
     if lattice is None:
         # float or mixed input has no lattice; it is stepped as given
-        work, z_work, unscale, in_units = state, z, tuple, SimState.copy
+        work, z_work, unscale, in_units = state, z, tuple, lambda s: s
     else:
         scale, domain, z_work, reps = lattice
-        work = SimState(list(reps), state.laps, state.wait_remaining, state.time, domain)
+        work = SimState(reps, state.laps, state.wait_remaining, state.time, domain)
         unscale = _Unscale(scale)
         in_units = lambda s: unscale.state(s, state.domain)
     snapshots = {0: unscale(work.unwrapped())}
-    # observers see copies in input units, so none of them can change the run
-    after = state.copy()
+    after = state
     for t in range(steps):
         work = _step_scalar(work, z_work)
         if observers:
@@ -717,4 +716,4 @@ class _Unscale:
 
     def state(self, s: SimState, domain: Domain) -> SimState:
         """Lattice state s in input units, on domain."""
-        return SimState(list(self(s.reps)), list(s.laps), list(s.wait_remaining), s.time, domain)
+        return SimState(self(s.reps), s.laps, s.wait_remaining, s.time, domain)

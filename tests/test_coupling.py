@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -89,14 +90,36 @@ def test_sides_must_share_one_clock():
     assert advance(state)[1].time == 1
 
 
-def test_defect_listings_and_copy_independence():
+def test_defect_listings():
     z = ObstacleField.empty(HALF_LINE, 1)
     st1 = coupled((0, 1), (2, 3), z, pairing={0: 1})
     assert st1.defects_x() == (1,)
     assert st1.defects_xbar() == (0,)
-    clone = st1.copy()
-    clone.pairing[1] = 0
-    assert 1 not in st1.pairing
+
+
+@pytest.mark.parametrize("pairing", [{5: 0}, {-1: 0}, {0: -1}, {0: 2}, {"0": 0}, {0: 1.0}])
+def test_pairing_must_map_indices_to_indices(pairing):
+    # before, {5: 0} made is_proper raise IndexError and gave 2 defects of x
+    # against a pair count of 1; {0: -1} read xbar's particle 1
+    z = ObstacleField.empty(HALF_LINE, 1)
+    with pytest.raises(ConfigurationError, match=r"^pairing must map indices of x \(2\) to indices of xbar \(2\), got "):
+        coupled((0, 1), (2, 3), z, pairing=pairing)
+    assert coupled((0, 1), (2, 3), z, pairing={1: 0}).defects_x() == (0,)
+
+
+def test_sides_cannot_go_stale_behind_the_derived_values():
+    # a write into a side after a read of the cached values once left them
+    # stale: ranks stayed ([0, 1], [1, 2]) and unwrapped[0] (0, 5) while
+    # the side read (3, 5)
+    state = coupled((0, 5), (2, 7), ObstacleField.empty(Ring(10), 1), domain=Ring(10))
+    assert state.ranks == ([0, 1], [1, 2])
+    assert state.unwrapped[0] == state.x.unwrapped() == (0, 5)
+    with pytest.raises(TypeError):
+        state.x.reps[0] = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.x.reps = (3, 5)
+    assert state.ranks == ([0, 1], [1, 2])
+    assert state.unwrapped[0] == state.x.unwrapped() == (0, 5)
 
 
 def test_detect_triple_coincidence_events():

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,6 +23,7 @@ from contasep import (
     local_velocity,
     refine_waiting,
     run,
+    run_coupled,
     step,
     velocity_estimate,
 )
@@ -189,81 +190,103 @@ def test_observer_failure_aborts_with_diagnostic():
         run(state, z, 3, observers=(Boom(),))
 
 
-@pytest.mark.parametrize("num", [F, float])
-def test_an_observer_that_changes_its_states_leaves_the_run_unchanged(num):
-    # criterion 8's waited ring, stepped by the scalar engine on its lattice
-    # or in floats; the observer overwrites every list and the time it sees
+def criterion_8_ring(num, waits=(1, 0, 0, 0, 1, 0, 0, 0)):
+    """Criterion 8's ring of 24 with an obstacle every 3, waiting as given."""
     ring = Ring(num(24))
-    z = ObstacleField(
-        tuple(num(k) for k in range(0, 24, 3)),
-        (1, 0, 0, 0, 1, 0, 0, 0),
-        (num(1), num(1) / 2) * 4,
-        num(1),
-        ring,
-    )
-    x = ParticleConfig.equispaced(ring, 10, num(1) / 4)
+    return ObstacleField(tuple(num(k) for k in range(0, 24, 3)), waits, (num(1), num(1) / 2) * 4, num(1), ring)
 
+
+def started(num, count=10, waits=None):
+    """count particles on criterion 8's ring at time 3, waiting out waits."""
+    x = ParticleConfig.equispaced(Ring(num(24)), count, num(1) / 4)
+    return SimState(x.positions, (0,) * count, waits or (0,) * count, 3, x.domain)
+
+
+def run_finals(given, z):
+    """The final states of runs of 0 and 5 steps from given, a state or a
+    batch, each at its start time plus the steps."""
+    inputs = given.states if isinstance(given, Replicas) else (given,)
+    finals = []
+    for steps in (0, 5):
+        got = run(given, z, steps)
+        got = list(got) if isinstance(given, Replicas) else [got]
+        assert [g.final_state.time for g in got] == [s.time + steps for s in inputs]
+        finals += [g.final_state for g in got]
+    return finals
+
+
+def states_from(source):
+    """States that source hands out, each with particles."""
+    exact, waited, free = criterion_8_ring(F), criterion_8_ring(float), criterion_8_ring(float, (0,) * 8)
+    if source == "initial":
+        return [SimState.initial(ParticleConfig.equispaced(Ring(num(24)), 10)) for num in (F, float)]
+    if source == "step":
+        return [step(started(F), exact), step(started(float), waited)]
+    if source == "run, scalar engine":
+        # exact input on its lattice, float input on a waited field
+        return run_finals(started(F), exact) + run_finals(started(float), waited)
+    if source == "run, kernel":
+        return run_finals(started(float), free)
+    if source == "run, batch":
+        # stepped together in the kernel, and one at a time when a replica waits
+        waiting = started(float, 6, (2,) + (0,) * 5)
+        return run_finals(Replicas([started(float, 3), started(float, 7)]), free) + run_finals(
+            Replicas([waiting, started(float, 5)]), free
+        )
+    if source == "observer":
+        # before and after of each step; watching leaves the run as it is
+        seen = []
+        for num, z in ((F, exact), (float, waited)):
+            watched = run(started(num), z, 30, (lambda *pair: seen.extend(pair),), range(31))
+            alone = run(started(num), z, 30, snapshot_times=range(31))
+            assert watched.snapshots == alone.snapshots
+            assert watched.final_state == alone.final_state
+            assert any(watched.final_state.wait_remaining)
+        return seen
+    if source == "run_coupled":
+        x, xbar = (ParticleConfig.equispaced(Ring(24), 10, offset) for offset in (F(1, 4), F(1, 2)))
+        final = run_coupled(x, xbar, exact, 30).final_state
+        return [final.x, final.xbar]
+    raise ValueError(source)
+
+
+@pytest.mark.parametrize(
+    "source", ["initial", "step", "run, scalar engine", "run, kernel", "run, batch", "observer", "run_coupled"]
+)
+def test_states_are_frozen(source):
+    # every field, time included, and every element refuses assignment
+    states = states_from(source)
+    assert states
+    for state in states:
+        for name in ("reps", "laps", "wait_remaining"):
+            values = getattr(state, name)
+            assert type(values) is tuple
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                values[0] = values[0]
+        for f in dataclasses.fields(state):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, f.name, getattr(state, f.name))
+
+
+@pytest.mark.parametrize("num", [F, float])
+def test_an_observer_that_writes_into_its_states_fails(num):
     def vandal(before, after):
-        for s in (before, after):
-            s.reps[:] = [num(0)] * s.count
-            s.laps[:] = [7] * s.count
-            s.wait_remaining[:] = [3] * s.count
-            s.time = -1
+        after.reps[0] = num(0)
 
-    clean = run(SimState.initial(x), z, 30, snapshot_times=range(31))
-    state = SimState.initial(x)
-    changed = run(state, z, 30, observers=(vandal,), snapshot_times=range(31))
-    assert changed.snapshots == clean.snapshots
-    assert changed.final_state == clean.final_state
-    assert any(changed.final_state.wait_remaining)
-    assert state == SimState.initial(x)
+    with pytest.raises(ObserverError, match="^observer vandal failed at t=3: 'tuple' object does not support"):
+        run(started(num), criterion_8_ring(num), 30, observers=(vandal,))
 
 
-def test_run_writes_nothing_into_its_input():
-    # every path of run: the scalar engine on a lattice and in floats with
-    # observers, the kernel on one state and on a batch, a batch whose
-    # waiting replica sends each replica alone, a failing observer and the
-    # kernel's refusal of lap counts that could pass int64
-    def field(num, waits):
-        ring = Ring(num(24))
-        return ObstacleField(tuple(num(k) for k in range(0, 24, 3)), waits, (num(1), num(1) / 2) * 4, num(1), ring)
-
-    exact, waited, free = field(F, (1, 0, 0, 0, 1, 0, 0, 0)), field(float, (1,) + (0,) * 7), field(float, (0,) * 8)
-
-    def state(num, count=10, laps=0):
-        x = ParticleConfig.equispaced(Ring(num(24)), count, num(1) / 4)
-        return SimState(list(x.positions), [laps] * count, [0] * count, 3, x.domain)
-
-    def boom(before, after):
-        if before.time == 4:
-            raise ValueError("nope")
-
-    waiting = state(float, 6)
-    waiting.wait_remaining[0] = 2
-    cases = [
-        (state(F), exact, (), None),
-        (state(float), waited, (InvariantChecker(waited), TrajectoryWriter()), None),
-        (state(float), free, (), None),
-        (Replicas([state(float, 3), state(float, 7)]), free, (), None),
-        (Replicas([waiting, state(float, 5)]), free, (), None),
-        (state(F), exact, (boom,), ObserverError),
-        (state(float, 2, 2**63 - 2), free, (), ConfigurationError),
-    ]
-    for given, z, observers, error in cases:
-        inputs = given.states if isinstance(given, Replicas) else (given,)
-        for steps in (0, 5):
-            before = copy.deepcopy(inputs)
-            if error:
-                with pytest.raises(error):
-                    run(given, z, steps + 2, observers)
-            else:
-                got = run(given, z, steps, observers)
-                finals = [g.final_state for g in got] if isinstance(given, Replicas) else [got.final_state]
-                assert [f.time for f in finals] == [s.time + steps for s in inputs]
-                lists = [id(v) for s in inputs for v in (s.reps, s.laps, s.wait_remaining)]
-                assert not any(f is s for f in finals for s in inputs)
-                assert not any(id(v) in lists for f in finals for v in (f.reps, f.laps, f.wait_remaining))
-            assert inputs == before
+@pytest.mark.parametrize("num", [F, float])
+@pytest.mark.parametrize("short", ["reps", "laps", "wait_remaining"])
+def test_a_state_of_unequal_lengths_is_refused(num, short):
+    # exact input once ended in an IndexError in the scalar engine; float
+    # input reached the kernel, whose final state had 2 reps and 1 countdown
+    values = {"reps": [num(0), num(1)], "laps": [0, 0], "wait_remaining": [0, 0]}
+    values[short] = values[short][:1]
+    n_reps, n_laps, n_waits = map(len, values.values())
+    with pytest.raises(ConfigurationError, match=f"equal length, got {n_reps}, {n_laps} and {n_waits}$"):
+        SimState(**values, time=0, domain=Ring(num(4)))
 
 
 def test_trajectory_writer_rows():
@@ -312,7 +335,7 @@ def test_fast_path_counts_violations_like_the_checker():
     fast = run(broken(), z, 1)
     checker = InvariantChecker(z)
     slow = run(broken(), z, 1, observers=(checker,))
-    assert fast.final_state.reps == slow.final_state.reps == [6.2, 0.5, 0.7, 1.7]
+    assert fast.final_state.reps == slow.final_state.reps == (6.2, 0.5, 0.7, 1.7)
     assert fast.invariant_violations == len(checker.violations) == 2
 
     # Over 100 steps the state sorts itself out after two steps and repeats,

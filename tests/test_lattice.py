@@ -89,17 +89,12 @@ def test_step_returns_the_next_state_and_writes_nothing_to_its_input(case, data)
     n = x.count
     ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
     laps = data.draw(ints(-1, 1)) if isinstance(x.domain, Ring) else [0] * n
-    state = SimState(list(x.positions), laps, data.draw(ints(0, 2)), data.draw(st.integers(0, 5)), x.domain)
-    before, lists = state.copy(), (state.reps, state.laps, state.wait_remaining)
+    # SimState is frozen (test_states_are_frozen), so the input cannot change
+    state = SimState(x.positions, laps, data.draw(ints(0, 2)), data.draw(st.integers(0, 5)), x.domain)
     after = step(state, z)
-    assert state == before
-    assert all(a is b for a, b in zip((state.reps, state.laps, state.wait_remaining), lists))
-    assert not any(a is b for a in (after.reps, after.laps, after.wait_remaining) for b in lists)
     assert after.time == state.time + 1
-    # run hands back the same step as a new state, countdowns included
-    final = run(state, z, 1).final_state
-    assert final == after
-    assert state == before
+    # run hands back the same step, countdowns included
+    assert run(state, z, 1).final_state == after
 
 
 def test_run_leaves_the_countdowns_of_as_many_steps():
@@ -164,10 +159,10 @@ def test_run_resumes_a_countdown_across_calls():
     z = ObstacleField((F(5, 4),), (2,), (F(3, 2),), F(3, 2), ring)
     x = ParticleConfig.from_iterable((F(1, 3),), ring)
     state = run(SimState.initial(x), z, 2).final_state
-    assert state.wait_remaining == [1] and state.reps == [F(5, 4)]
+    assert state.wait_remaining == (1,) and state.reps == (F(5, 4),)
     state = run(state, z, 2).final_state
     states = fraction_run(x, z, 4)
-    assert state.reps == states[-1].reps == [F(11, 4)]
+    assert state.reps == states[-1].reps == (F(11, 4),)
 
 
 def input_units(before, after):
@@ -510,7 +505,7 @@ def test_two_particle_cycle_worked_by_hand():
         assert diag.cycle == (None if steps < 4 else (2, 2, 0, 0))
         assert diag.rows == [(1, 1, 1, 0, 0, 1)] + [(t, 0, 0, 1, F(1, 2), 1) for t in range(2, steps + 1)]
         assert diag.final_state.x.unwrapped() == diag.final_state.xbar.unwrapped() == (steps,)
-        assert diag.final_state.x.laps == [steps // 2]
+        assert diag.final_state.x.laps == (steps // 2,)
         assert diag.final_state.pairing == {0: 0}
 
 

@@ -77,7 +77,7 @@ def as_float(z):
 
 
 def new_state(reps, laps, domain):
-    return SimState(list(reps), list(laps), [0] * len(reps), 0, domain)
+    return SimState(reps, laps, (0,) * len(reps), 0, domain)
 
 
 def assert_batch_matches(z, states, steps):
@@ -113,7 +113,7 @@ def assert_batch_matches(z, states, steps):
         assert state == new_state([float(r) for r in reps], laps, zf.domain)
         assert got.snapshots == alone.snapshots
         assert got.snapshots == {t: tuple(map(float, unwrapped[t])) for t in times}
-        assert final.reps == alone_final.reps == [float(r) for r in oracle.reps]
+        assert final.reps == alone_final.reps == tuple(map(float, oracle.reps))
         assert final.laps == alone_final.laps == oracle.laps
         assert final.time == alone_final.time == steps
         assert got.invariant_violations == alone.invariant_violations == len(checker.violations)
@@ -176,7 +176,7 @@ def assert_replay_matches_stepping(z, states, steps, times=()):
         assert state == new_state([float(r) for r in reps], laps, zf.domain)
         assert got.snapshots == {t: stepped[t] for t in reported}
         assert got.snapshots == {t: tuple(map(float, unwrapped[t])) for t in reported}
-        assert final.reps == single.reps == [float(r) for r in oracle.reps]
+        assert final.reps == single.reps == tuple(map(float, oracle.reps))
         assert final.laps == single.laps == oracle.laps
         assert got.invariant_violations == count == len(checker.violations)
         if got.cycle is not None:
@@ -283,15 +283,15 @@ def test_empty_ring_particle_wraps_the_seam():
     z = ObstacleField.empty(Ring(8), F(3, 2))
     (pairs,) = assert_batch_matches(z, [([F(3), F(15, 2)], [0, 0])], 4)
     _, after = pairs[0]
-    assert after.reps == [F(9, 2), F(1)]
-    assert after.laps == [0, 1]
+    assert after.reps == (F(9, 2), F(1))
+    assert after.laps == (0, 1)
 
 
 def test_line_without_obstacles():
     z = ObstacleField.empty(Line(F(-1, 2), 12), F(3, 2))
     (pairs,) = assert_batch_matches(z, [([F(-1, 2), F(0), F(3)], [0, 0, 0])], 4)
     # the first particle is gap-bound, the leader moves at top speed
-    assert pairs[0][1].reps == [F(0), F(3, 2), F(9, 2)]
+    assert pairs[0][1].reps == (F(0), F(3, 2), F(9, 2))
 
 
 def test_line_leader_passes_the_last_obstacle():
@@ -308,8 +308,7 @@ def test_ineligible_batch_runs_each_replica_alone(monkeypatch):
 
     def states():
         x = ParticleConfig.equispaced(z.domain, 6, 0.25)
-        waiting = SimState.initial(x)
-        waiting.wait_remaining[0] = 2
+        waiting = SimState(x.positions, (0,) * 6, (2,) + (0,) * 5, 0, x.domain)
         return waiting, SimState.initial(x)
 
     calls = []
@@ -371,8 +370,8 @@ def test_two_cycles_worked_by_hand(monkeypatch):
     assert max(seen) == 3
     assert (a.cycle, b.cycle) == ((1, 1, 0), (2, 0, 1))
     assert a.snapshots[9] == (8.5, 9.5) and b.snapshots[9] == (9.0,)
-    assert (a.final_state.reps, a.final_state.laps) == ([0.5, 1.5], [4, 4])
-    assert (b.final_state.reps, b.final_state.laps) == ([1.0], [4])
+    assert (a.final_state.reps, a.final_state.laps) == ((0.5, 1.5), (4, 4))
+    assert (b.final_state.reps, b.final_state.laps) == ((1.0,), (4,))
     assert mean_velocity(a.cycle, 2, 2) == mean_velocity(b.cycle, 1, 2) == 1
 
     # Snapshots after the stop: t=8 is 5 steps on from t=3, an odd phase of
@@ -419,21 +418,19 @@ def test_lap_counts_that_could_pass_int64_are_refused():
     # from t=1 on, so 10**19 steps end about 5 * 10**18 laps on, inside the
     # kernel's int64 (2**63 - 1, about 9.2 * 10**18). A second such run, or
     # one of 10**20 steps, could pass it, and so could a lap count given
-    # past it; each is refused before a step, the state left as it was.
+    # past it; each is refused before a step.
     z = ObstacleField.empty(Ring(2.0), 1.0)
     state = run(SimState([0.0, 0.5], [0, 0], [0, 0], 0, z.domain), z, 10**19).final_state
-    assert (state.reps, state.laps, state.time) == ([1.5, 0.5], [5 * 10**18 - 1, 5 * 10**18], 10**19)
+    assert (state.reps, state.laps, state.time) == ((1.5, 0.5), (5 * 10**18 - 1, 5 * 10**18), 10**19)
     # at the bound's edge: 2 steps of a lone particle have a bound of
     # ceil(2 * (1 + 3 / 2**53) / 2) + 1 = 3 laps and gain 1
     edge = run(SimState([0.0], [2**63 - 4], [0], 0, z.domain), z, 2).final_state
-    assert edge.laps == [2**63 - 3]
+    assert edge.laps == (2**63 - 3,)
     for start, steps in (
         (state, 10**19),
         (SimState([0.0, 0.5], [0, 0], [0, 0], 0, z.domain), 10**20),
         (SimState([0.0], [2**63 - 3], [0], 0, z.domain), 2),
         (SimState([0.0], [2**63], [0], 0, z.domain), 1),
     ):
-        before = start.copy()
         with pytest.raises(ConfigurationError, match=r"could carry a lap count past 2\*\*63 - 1"):
             run(start, z, steps)
-        assert start == before
