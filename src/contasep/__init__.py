@@ -33,7 +33,6 @@ from .core import (
 from .coupling import (
     CoupledState,
     CouplingDiagnostics,
-    OvertakeEvent,
     apply_pairing,
     detect_overtakes,
     is_proper,

@@ -328,6 +328,24 @@ def to_lattice(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple 
     return (scale, lattice, scaled_z, *scaled)
 
 
+def encode_waits(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple:
+    """Lattice inputs (see to_lattice) with each wait w made w + 1 zero-wait
+    copies, as refine_waiting reads it: (M, domain, field, *positions).
+
+    M is the longest wait plus 1. Obstacle q goes to copies at q*M + M - 1 - w,
+    ..., q*M + M - 1, the last with q's speed times M, the others speed M; a
+    particle at p goes to p*M + M - 1; the domain and top speed are times M.
+    The step on this field is the countdown step: e stands at e // M with
+    countdown M - 1 - e % M. With no waits M = 1 and nothing changes.
+    """
+    m = max(z.waits, default=0) + 1
+    copies = tuple(q * m + m - 1 - k for q, w in zip(z.positions, z.waits) for k in range(w, -1, -1))
+    speeds = tuple(m if k else v * m for v, w in zip(z.velocities, z.waits) for k in range(w, -1, -1))
+    lattice = _lattice_domain(domain, m)
+    field = ObstacleField(copies, (0,) * len(copies), speeds, z.top_speed * m, lattice)
+    return (m, lattice, field, *(tuple(p * m + m - 1 for p in group) for group in positions))
+
+
 def modified_gap(x: ParticleConfig, z: ObstacleField, i: int) -> Scalar:
     """min of the particle gap and the distance to the next obstacle strictly ahead."""
     g = gap(x, i)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, filterfalse
 from operator import le, lt
+from types import MappingProxyType
 from typing import Optional
 
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     ObstacleField,
     ParticleConfig,
     Ring,
+    encode_waits,
     to_lattice,
 )
 from .dynamics import SimState, _check_steps, _step_scalar, _Unscale
@@ -40,16 +42,16 @@ def _indices(values, count) -> bool:
 class CoupledState:
     """Two step-locked processes on one clock and the pairing between them.
 
-    pairing maps first-process particle indices to second-process indices and
-    is a partial bijection. time is the sides' one clock. The positions on
-    the covering line, the overtake ranks and the canonical starts are
-    derived from the sides once, on first use, as ObstacleField.table is.
+    pairing, read-only, maps first-process particle indices to second-process
+    indices and is a partial bijection. time is the sides' one clock. The
+    positions on the covering line, the overtake ranks and the canonical
+    starts are derived from the sides once, on first use, as ObstacleField.table is.
     """
 
     x: SimState
     xbar: SimState
     z: ObstacleField
-    pairing: dict = field(default_factory=dict)
+    pairing: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
         if self.x.time != self.xbar.time:
@@ -61,6 +63,7 @@ class CoupledState:
             )
         if len(set(vals)) != len(vals):
             raise ConfigurationError("pairing must be one-to-one")
+        object.__setattr__(self, "pairing", MappingProxyType(dict(self.pairing)))
 
     @classmethod
     def initial(cls, x: ParticleConfig, xbar: ParticleConfig, z: ObstacleField) -> "CoupledState":
@@ -111,36 +114,14 @@ class CoupledState:
 
     def _with(self, **changes) -> "CoupledState":
         """This state with some fields replaced, shared otherwise, and not
-        checked again: callers keep the pairing one-to-one and the sides on
-        one clock. The derived values come along unless a side is replaced."""
+        checked again: callers keep the pairing read-only and one-to-one and
+        the sides on one clock. The derived values come along unless a side is replaced."""
         out = object.__new__(type(self))
         kept = self.__dict__
         if "x" in changes or "xbar" in changes:
             kept = {"x": self.x, "xbar": self.xbar, "z": self.z, "pairing": self.pairing}
         out.__dict__.update(kept, **changes)
         return out
-
-
-@dataclass(frozen=True)
-class OvertakeEvent:
-    """One mover passing a contiguous block of opposite-process particles.
-
-    Which pairing rule the event meets depends on the pairing it is applied
-    to, so apply_pairing works it out there and leaves the event as it is.
-    """
-
-    side: str
-    mover: int
-    overtaken: tuple
-
-    def __post_init__(self):
-        if self.side not in ("x", "xbar"):
-            raise ConfigurationError(f"unknown side {self.side!r}")
-        if not self.overtaken:
-            raise ConfigurationError("event must overtake at least one particle")
-        lo, hi = self.overtaken[0], self.overtaken[-1]
-        if self.overtaken != tuple(range(lo, hi + 1)):
-            raise InvariantViolationError(f"overtaken set {self.overtaken} is not contiguous")
 
 
 def _ext_pos(arr, m, period):
@@ -194,12 +175,13 @@ def _side_events(side, mover_prev, mover_next, rank_prev, rank_next, n_other):
                 raise InvariantViolationError(
                     f"mover {i} swept more than one full lap of the other process"
                 )
-            events.append(OvertakeEvent(side, i, tuple(range(lo, stop))))
+            events.append((side, i, range(lo, stop)))
     return events
 
 
 def detect_overtakes(prev: CoupledState, next_state: CoupledState) -> list:
-    """All passing events between consecutive states, first-process side first.
+    """All passing events between consecutive states, first-process side first:
+    (side, mover, overtaken), overtaken the range of copies the mover passed.
 
     On a ring a mover may pass a periodic copy of an opposite-process
     particle, so overtaken indices are extended: index % count names the
@@ -223,19 +205,19 @@ def detect_overtakes(prev: CoupledState, next_state: CoupledState) -> list:
     ev_b = _side_events("xbar", b_prev, b_next, rb_prev, rb_next, n_x)
 
     for evs in (ev_x, ev_b):
-        for a, b in zip(evs, evs[1:]):
-            if a.overtaken[-1] >= b.overtaken[0]:
+        for (_, a, block_a), (_, b, block_b) in zip(evs, evs[1:]):
+            if block_a[-1] >= block_b[0]:
                 raise InvariantViolationError(
-                    f"t={next_state.time}: movers {a.mover},{b.mover} overtake a shared particle"
+                    f"t={next_state.time}: movers {a},{b} overtake a shared particle"
                 )
     sides = ((ev_x, ev_b, x_next, b_next, n_b), (ev_b, ev_x, b_next, x_next, n_x))
     for evs, counter, u_mine, u_other, n in sides:
-        movers = {ev.mover for ev in counter}
-        for ev in evs:
-            for m in ev.overtaken:
-                if m % n in movers and _ext_pos(u_other, m, period) != u_mine[ev.mover]:
+        movers = {mover for _, mover, _ in counter}
+        for _, mover, overtaken in evs:
+            for m in overtaken:
+                if m % n in movers and _ext_pos(u_other, m, period) != u_mine[mover]:
                     raise InvariantViolationError(
-                        f"t={next_state.time}: mover {ev.mover} overtook counter-mover {m % n} without coincidence"
+                        f"t={next_state.time}: mover {mover} overtook counter-mover {m % n} without coincidence"
                     )
     return ev_x + ev_b
 
@@ -271,52 +253,44 @@ def apply_pairing(state: CoupledState, events: list) -> CoupledState:
     depths_x, depths_b = _stack_depths(u_x, period), _stack_depths(u_b, period)
     if not events and not any(depths_x) and not any(depths_b):
         return state
-    fwd = dict(state.pairing)
+    fwd = state.pairing.copy()  # a dict, which dict() of the read-only view builds key by key
     inv = dict(zip(fwd.values(), fwd))
     # each side's events from its first particle by position (see above)
     n_x, n_b = len(u_x), len(u_b)
     c_x, c_b = state.starts
 
     def order(ev):
-        return (0, (ev.mover - c_x) % n_x) if ev.side == "x" else (1, (ev.mover - c_b) % n_b)
+        side, mover, _ = ev
+        return (0, (mover - c_x) % n_x) if side == "x" else (1, (mover - c_b) % n_b)
 
-    for ev in sorted(events, key=order):
-        if ev.side == "x":
+    for side, i, overtaken in sorted(events, key=order):
+        if side == "x":
             mine, theirs = fwd, inv
             u_mover, u_other = u_x, u_b
         else:
             mine, theirs = inv, fwd
             u_mover, u_other = u_b, u_x
-        i = ev.mover
         n = len(u_other)
         # the overtaken indices ascend, so every one below the anchor is free
         # or held by the mover
         anchor = target = None
-        for m in ev.overtaken:
+        for m in overtaken:
             if theirs.get(m % n, i) != i:
                 anchor = m
                 break
             target = m
 
-        if i in mine:
-            if target is not None:
-                old = mine.pop(i)
-                del theirs[old]
-                if target % n in theirs:
-                    raise InvariantViolationError(
-                        f"repair target {target} is already paired; overtaken={ev.overtaken}"
-                    )
-                mine[i] = target % n
-                theirs[target % n] = i
-        elif anchor is not None and u_mover[i] > _ext_pos(u_other, anchor, period):
+        if anchor is not None and i not in mine and u_mover[i] > _ext_pos(u_other, anchor, period):
             former = theirs.pop(anchor % n)
             del mine[former]
             mine[i] = anchor % n
             theirs[anchor % n] = i
         elif target is not None:
+            if i in mine:
+                del theirs[mine.pop(i)]
             if target % n in theirs:
                 raise InvariantViolationError(
-                    f"repair target {target} is already paired; overtaken={ev.overtaken}"
+                    f"repair target {target} is already paired; overtaken={overtaken}"
                 )
             mine[i] = target % n
             theirs[target % n] = i
@@ -330,7 +304,7 @@ def apply_pairing(state: CoupledState, events: list) -> CoupledState:
         if inv.get(j) != i:
             raise InvariantViolationError("pairing maps fell out of sync")
     # maps in sync make the pairing one-to-one, so it is not checked again
-    return state._with(pairing=fwd)
+    return state._with(pairing=MappingProxyType(fwd))
 
 
 def _stack_depths(u, period):
@@ -501,8 +475,10 @@ def run_coupled(
     violation aborts with a state dump. The verdict is "nearly successful"
     when the final defect count is below threshold times the initial one.
     Input must be exact (ints and Fractions): it is stepped, paired and
-    checked as integers on its lattice (see to_lattice); rows, the final
-    state and the dump are in input units.
+    checked as integers on its lattice (see to_lattice) with its waits made
+    position (see encode_waits), so no rule reads a countdown. Rows, the
+    final state and the dump are decoded to input units, the dump's
+    violations read on the refined field.
 
     On the lattice the coupled state up to a cyclic relabelling and a
     whole-lap shift of each side takes finitely many values, so every run
@@ -537,10 +513,12 @@ def run_coupled(
         # float rounding makes the pairing checks report violations that do not occur
         raise ConfigurationError("coupled runs need exact input (mode exact), got floats")
     scale, domain, z_work, px, pb = lattice
+    m, domain, z_work, px, pb = encode_waits(domain, z_work, px, pb)
     state = CoupledState.initial(ParticleConfig(px, domain), ParticleConfig(pb, domain), z_work)
+    unscale = _Unscale(scale, m)
     initial_defects = state.x.count + state.xbar.count
     period = domain.length
-    start_x, start_b = (u[0] for u in state.unwrapped)
+    start_x, start_b = (u[0] // m for u in state.unwrapped)
     rows = []
     # per step from t=0: its key and its marks; per key, the step that had it
     key, mark = _canonical_key(state)
@@ -556,14 +534,19 @@ def run_coupled(
         u_x, u_b = state.unwrapped
         d_x = state.x.count - state.pair_count
         d_b = state.xbar.count - state.pair_count
-        v_gap_abs = Fraction(abs((u_x[0] - start_x) - (u_b[0] - start_b)), scale)
+        v_gap_abs = Fraction(abs((u_x[0] // m - start_x) - (u_b[0] // m - start_b)), scale)
         if is_proper(state):
-            shown = _in_input_units(state, z, scale)
+            shown = _in_input_units(state, z, unscale)
+            over = _Unscale(scale * m, 1)
+            refined = ObstacleField(
+                over(z_work.positions), z_work.waits, over(z_work.velocities),
+                Fraction(z_work.top_speed, scale * m), z.domain,
+            )
             raise CouplingError(
                 f"pairing lost integrity at t={t}",
                 dump={
                     "time": t,
-                    "violations": is_proper(shown),
+                    "violations": is_proper(_in_input_units(state, refined, over)),
                     "x": [str(p) for p in shown.x.unwrapped()],
                     "xbar": [str(p) for p in shown.xbar.unwrapped()],
                     "pairing": dict(shown.pairing),
@@ -597,8 +580,8 @@ def run_coupled(
             # rep, base laps on and a lap more for each turn of -c
             turns_x, i_x = divmod(-c_x, n)
             turns_b, i_b = divmod(-c_b, n)
-            moved_x = key[i_x] + (base_x + turns_x) * period - start_x
-            moved_b = key[n + i_b] + (base_b + turns_b) * period - start_b
+            moved_x = (key[i_x] + (base_x + turns_x) * period) // m - start_x
+            moved_b = (key[n + i_b] + (base_b + turns_b) * period) // m - start_b
             rows.append((tau, *rows[tau - lam - 1][1:4], Fraction(abs(moved_x - moved_b), scale), 1))
         if t < steps:
             state = _from_canonical_key(*at(steps), steps, z_work)
@@ -612,7 +595,7 @@ def run_coupled(
         else "defects persist"
     )
     return CouplingDiagnostics(
-        rows, verdict, initial_defects, final_defects, _in_input_units(state, z, scale), cycle
+        rows, verdict, initial_defects, final_defects, _in_input_units(state, z, unscale), cycle
     )
 
 
@@ -640,26 +623,21 @@ def _canonical_key(state: CoupledState) -> tuple:
     past its last particle. Read so, its positions ascend from the least rep
     and span at most a lap, and no particle but c's stack stands at that rep,
     so each stands at its rep plus the whole laps of particle c, its base.
-    The key is one flat tuple of both sides' reps and countdowns read so, and
-    x's partners as canonical xbar indices (None for a defect). marks is
-    (c_x, c_b, base_x, base_b). Two states with equal keys are one
+    The key is one flat tuple of both sides' reps read so (no countdown: see
+    encode_waits), and x's partners as canonical xbar indices (None for a
+    defect). marks is (c_x, c_b, base_x, base_b). Two states with equal keys are one
     relabelling and lap shift of each other, and their marks give it.
     """
     c_x, c_b = state.starts
     r_x, r_b = state.x.reps, state.xbar.reps
-    w_x, w_b = state.x.wait_remaining, state.xbar.wait_remaining
     n_b = len(r_b)
-    get = state.pairing.get
+    get = state.pairing.copy().get  # a dict's get, faster than the read-only view's
     partners = [*map(get, range(c_x, len(r_x))), *map(get, range(c_x))]
     key = (
         *r_x[c_x:],
         *r_x[:c_x],
         *r_b[c_b:],
         *r_b[:c_b],
-        *w_x[c_x:],
-        *w_x[:c_x],
-        *w_b[c_b:],
-        *w_b[:c_b],
         *[None if p is None else (p - c_b) % n_b for p in partners],
     )
     return key, (c_x, c_b, state.x.laps[c_x], state.xbar.laps[c_b])
@@ -670,15 +648,15 @@ def _from_canonical_key(
 ) -> CoupledState:
     """The state a _canonical_key records, each side read from its start
     (c_x, c_b) and moved on to its base laps (base_x, base_b), at time."""
-    n = len(key) // 5
+    n = len(key) // 3
 
     def side(part, c, base) -> SimState:
         # particle j is canonical particle (j - c) % n, (j - c) // n laps past the base
         k, r = divmod(c, n)
-        reps, waits = (key[p * n + n - r : p * n + n] + key[p * n : p * n + n - r] for p in (part, 2 + part))
-        return SimState(reps, (base - k - 1,) * r + (base - k,) * (n - r), waits, time, z.domain)
+        reps = key[part * n + n - r : part * n + n] + key[part * n : part * n + n - r]
+        return SimState(reps, (base - k - 1,) * r + (base - k,) * (n - r), (0,) * n, time, z.domain)
 
-    partners = key[4 * n :]
+    partners = key[2 * n :]
     pairing = {}
     for j in range(n):
         p = partners[(j - c_x) % n]
@@ -687,8 +665,7 @@ def _from_canonical_key(
     return CoupledState(side(0, c_x, base_x), side(1, c_b, base_b), z, pairing)
 
 
-def _in_input_units(state: CoupledState, z: ObstacleField, scale: int) -> CoupledState:
-    """A lattice state (positions times scale) as a state on z."""
-    unscale = _Unscale(scale)
+def _in_input_units(state: CoupledState, z: ObstacleField, unscale: _Unscale) -> CoupledState:
+    """A lattice state as a state on z, each side read back by unscale."""
     x, xbar = (unscale.state(s, z.domain) for s in (state.x, state.xbar))
-    return CoupledState(x, xbar, z, dict(state.pairing))
+    return CoupledState(x, xbar, z, state.pairing)

@@ -670,7 +670,7 @@ def run(
     else:
         scale, domain, z_work, reps = lattice
         work = SimState(reps, state.laps, state.wait_remaining, state.time, domain)
-        unscale = _Unscale(scale)
+        unscale = _Unscale(scale, 1)
         in_units = lambda s: unscale.state(s, state.domain)
     snapshots = {0: unscale(work.unwrapped())}
     after = state
@@ -690,7 +690,8 @@ def run(
 
 
 class _Unscale:
-    """Lattice ints back to input units, Fraction(v, scale), remembered per value.
+    """Lattice ints back to input units, remembered per value: e stands at
+    Fraction(e // m, scale), its countdown m - 1 - e % m (see encode_waits).
 
     A run revisits few values (obstacles, speeds, positions on a ring), so
     observer states look most of them up instead of building a Fraction.
@@ -698,8 +699,9 @@ class _Unscale:
 
     _LIMIT = 1 << 16
 
-    def __init__(self, scale: int):
+    def __init__(self, scale: int, m: int):
         self.scale = scale
+        self.m = m
         self.known: dict = {}
 
     def __call__(self, values) -> tuple:
@@ -710,10 +712,13 @@ class _Unscale:
         for v in values:
             f = known.get(v)
             if f is None:
-                f = known[v] = Fraction(v, self.scale)
+                f = known[v] = Fraction(v // self.m, self.scale)
             out.append(f)
         return tuple(out)
 
     def state(self, s: SimState, domain: Domain) -> SimState:
-        """Lattice state s in input units, on domain."""
-        return SimState(self(s.reps), s.laps, s.wait_remaining, s.time, domain)
+        """Lattice state s in input units, on domain, its countdowns its own
+        plus those its positions encode."""
+        m = self.m
+        waits = tuple(w + m - 1 - r % m for w, r in zip(s.wait_remaining, s.reps))
+        return SimState(self(s.reps), s.laps, waits, s.time, domain)

@@ -331,27 +331,31 @@ def test_criterion_10_coupling_diagnostics():
 
 
 def test_waited_coupling_keeps_integrity():
-    # criterion 10's instance with wait 1 on every 4th obstacle; the run
-    # raises on any improper pair, and the verdict is reported, not asserted
+    # criterion 10's instance with waits drawn from 0-w by random.Random(w),
+    # for w = 1, 2, 3; each run raises on any improper pair, and the verdict
+    # is reported, not asserted
     ring = Ring(100)
-    z = poisson_obstacles(ring, 0.35, seed=13, quantize=100, velocity=4)
-    waits = tuple(1 if k % 4 == 0 else 0 for k in range(z.count))
-    z = ObstacleField(z.positions, waits, z.velocities, z.top_speed, ring)
+    field = poisson_obstacles(ring, 0.35, seed=13, quantize=100, velocity=4)
 
     def draw(seed, count):
         rng = random.Random(seed)
         pts = [F(round(rng.uniform(0.0, 100.0) * 100), 100) % 100 for _ in range(count)]
         return ParticleConfig.from_iterable(pts, ring)
 
-    diag = run_coupled(draw(21, 50), draw(22, 50), z, 2000)
-    balanced = all(row[1] == row[2] for row in diag.rows)
-    proper = all(row[5] == 1 for row in diag.rows)
-    report(
-        "waited coupling integrity",
-        balanced and proper and len(diag.rows) == 2000,
-        f"{sum(waits)} waiting obstacles, 2000 steps, proper and balanced throughout; "
-        f"defects {diag.initial_defects} -> {diag.final_defects} ({diag.verdict})",
-    )
+    steps, details, ok = 10_000, [], True
+    for top in (1, 2, 3):
+        rng = random.Random(top)
+        waits = tuple(rng.randint(0, top) for _ in range(field.count))
+        z = ObstacleField(field.positions, waits, field.velocities, field.top_speed, ring)
+        diag = run_coupled(draw(21, 50), draw(22, 50), z, steps)
+        balanced = all(row[1] == row[2] for row in diag.rows)
+        proper = all(row[5] == 1 for row in diag.rows)
+        ok = ok and balanced and proper and len(diag.rows) == steps and diag.cycle is not None
+        details.append(
+            f"waits 0-{top} ({sum(waits)} in all): cycle {diag.cycle}, "
+            f"defects {diag.initial_defects} -> {diag.final_defects} ({diag.verdict})"
+        )
+    report("waited coupling integrity", ok, f"{steps} steps each, proper and balanced throughout; " + "; ".join(details))
 
 
 def test_criterion_11_half_integer_support():

@@ -348,7 +348,7 @@ def test_fast_sweep_on_a_waited_field_runs_the_scalar_engine_unchecked(tmp_path,
     # The vectorized kernel has no waits, so each point of a fast sweep on
     # this field runs alone in the scalar engine, which counts no invariant
     # violations: the sweep's exit-3 gate sees None. Running waits in the
-    # kernel (ROADMAP direction 1) is meant to change both.
+    # kernel (ROADMAP directions 1 and 4) is meant to change both.
     cfg = write_config(tmp_path, WAITED_RING_CFG)
     calls = []
     monkeypatch.setattr(dynamics, "_run_fast", lambda *args: calls.append(args))

@@ -1,9 +1,11 @@
 """Exact runs on the scaled integer lattice against the public Fraction step.
 
 run and run_coupled step exact input as integers times the lcm D of the input
-denominators. These tests replay the same inputs through the public
-one-step functions on Fractions and require identical states, snapshots,
-observer reports, coupling rows, pairings and error messages.
+denominators, and run_coupled makes each wait position (encode_waits). These
+tests replay the same inputs through the public one-step functions on
+Fractions, the coupled ones on the refined field, and require identical
+states, snapshots, observer reports, coupling rows, pairings and error
+messages.
 """
 import random
 import re
@@ -32,9 +34,10 @@ from contasep import (
     run_coupled,
     step,
 )
-from contasep.core import INFINITY, to_lattice
+from contasep.core import INFINITY, encode_waits, to_lattice
+from contasep import coupling
 from contasep.coupling import _canonical_key
-from contasep.dynamics import default_intervals
+from contasep.dynamics import _Unscale, default_intervals
 from contasep.scenarios import poisson_obstacles
 
 F = Fraction
@@ -68,9 +71,9 @@ def ring_cases(draw, max_size=6, max_wait=2):
 
 
 @st.composite
-def line_cases(draw):
+def line_cases(draw, max_wait=2):
     line = draw(st.sampled_from((Line(0, INFINITY), Line(F(-1, 2), 12))))
-    return draw(particles(line, 8)), draw(fields(line, 10))
+    return draw(particles(line, 8)), draw(fields(line, 10, max_wait))
 
 
 def fraction_run(x, z, steps):
@@ -97,11 +100,17 @@ def test_step_returns_the_next_state_and_writes_nothing_to_its_input(case, data)
     assert run(state, z, 1).final_state == after
 
 
+# criterion 8's ring, with waits of 1 and 2
+WAITED_RING = Ring(24)
+WAITED = (
+    ParticleConfig.equispaced(WAITED_RING, 10, F(1, 4)),
+    ObstacleField(tuple(range(0, 24, 3)), (2, 0, 0, 0, 1, 0, 0, 0), (1, F(1, 2)) * 4, 1, WAITED_RING),
+)
+
+
 def test_run_leaves_the_countdowns_of_as_many_steps():
-    # criterion 8's ring, with waits of 1 and 2: run stops mid-wait
-    ring = Ring(24)
-    z = ObstacleField(tuple(range(0, 24, 3)), (2, 0, 0, 0, 1, 0, 0, 0), (1, F(1, 2)) * 4, 1, ring)
-    x = ParticleConfig.equispaced(ring, 10, F(1, 4))
+    # run stops mid-wait
+    x, z = WAITED
     oracle = SimState.initial(x)
     seen = set()
     for k in range(1, 25):
@@ -111,6 +120,39 @@ def test_run_leaves_the_countdowns_of_as_many_steps():
         assert state == oracle
         seen.update(state.wait_remaining)
     assert seen == {0, 1, 2}
+
+
+@settings(max_examples=80)
+@given(st.one_of(ring_cases(max_wait=3), line_cases(max_wait=3)), st.integers(1, 60))
+@example(WAITED, 24)
+def test_encoded_step_decodes_to_the_countdown_step(case, steps):
+    # encode_waits makes a wait w into w + 1 zero-wait copies, and stepping
+    # that field must be the countdown step: decoded, every state equals the
+    # one public step() reaches on the input, countdowns included
+    x, z = case
+    scale, domain, z_lat, reps = to_lattice(x.domain, z, x.positions)
+    m, domain, z_enc, reps = encode_waits(domain, z_lat, reps)
+    assert m == max(z.waits, default=0) + 1 and not any(z_enc.waits)
+    state = SimState.initial(ParticleConfig(reps, domain))
+    decode = _Unscale(scale, m)
+    for want in fraction_run(x, z, steps)[1:]:
+        state = step(state, z_enc)
+        assert decode.state(state, x.domain) == want
+
+
+def test_encode_waits_makes_each_wait_into_copies():
+    # M = 3: the wait-2 obstacle at 1 becomes copies at 3, 4 and 5, the
+    # wait-0 one at 4 a copy at 14, and a particle at p goes to 3p + 2
+    line = Line(-1, 10)
+    z = ObstacleField((1, 4), (2, 0), (1, 2), 3, line)
+    m, domain, z_enc, xs = encode_waits(line, z, (-1, 1, 4))
+    assert (m, domain, xs) == (3, Line(-3, 30), (-1, 5, 14))
+    assert (z_enc.positions, z_enc.waits, z_enc.velocities, z_enc.top_speed) == (
+        (3, 4, 5, 14), (0,) * 4, (3, 3, 3, 6), 9
+    )
+    assert encode_waits(line, ObstacleField((1,), (0,), (1,), 3, line), (4,)) == (
+        1, line, ObstacleField((1,), (0,), (1,), 3, line), (4,)
+    )
 
 
 def test_to_lattice_scales_by_the_lcm_of_denominators():
@@ -240,19 +282,42 @@ def coupled_step(state):
 
 
 def coupled_oracle(x, xbar, z, steps):
-    """Oracle for run_coupled: (rows, final state, violations or None)."""
-    state = CoupledState.initial(x, xbar, z)
-    start_x, start_b = state.x.unwrapped()[0], state.xbar.unwrapped()[0]
+    """Oracle for run_coupled: (rows, final state, violations or None).
+
+    The public functions step the case with its waits made position by the
+    same encoder, each lattice value e over D * M in input units, so the
+    checks read the refined field. Rows and the state are decoded: e stands
+    at (e // M) / D, its countdown M - 1 - e % M.
+    """
+    scale, domain, z_lat, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
+    m, _, z_enc, px, pb = encode_waits(domain, z_lat, px, pb)
+    unit = scale * m
+    over = lambda values: tuple(F(v, unit) for v in values)
+    refined = ObstacleField(
+        over(z_enc.positions), z_enc.waits, over(z_enc.velocities), F(z_enc.top_speed, unit), x.domain
+    )
+    state = CoupledState.initial(ParticleConfig(over(px), x.domain), ParticleConfig(over(pb), x.domain), refined)
+
+    def decoded(sim):
+        e = [int(r * unit) for r in sim.reps]
+        return SimState([F(v // m, scale) for v in e], sim.laps, [m - 1 - v % m for v in e], sim.time, x.domain)
+
+    def decode(state):
+        return CoupledState(decoded(state.x), decoded(state.xbar), z, state.pairing)
+
+    start = decode(state)
+    start_x, start_b = start.x.unwrapped()[0], start.xbar.unwrapped()[0]
     rows = []
     for t in range(1, steps + 1):
         state, _ = coupled_step(state)
         violations = is_proper(state)
         if violations:
-            return rows, state, violations
-        gap = (state.x.unwrapped()[0] - start_x) - (state.xbar.unwrapped()[0] - start_b)
+            return rows, decode(state), violations
+        shown = decode(state)
+        gap = (shown.x.unwrapped()[0] - start_x) - (shown.xbar.unwrapped()[0] - start_b)
         defects = state.x.count - state.pair_count
         rows.append((t, defects, defects, state.pair_count, abs(gap), 1))
-    return rows, state, None
+    return rows, decode(state), None
 
 
 def assert_dump_matches(exc, state, violations):
@@ -313,17 +378,12 @@ CROWDED = (
     ObstacleField((F(5, 4), 4, F(19, 4)), (0, 0, 0), (1, 1, F(3, 2)), F(3, 2), CROWDED_RING),
 )
 
-# A waited ring on which the pairing order decides the output. In the step
-# to t=5, x4 leaves xbar 2 for xbar 3, so xbar 2 is a defect when the xbar
-# events run: xbar 2 reaches x5 at 7/2 without passing it, and xbar 4, x5's
-# partner, passes the defect x6 to 9/2. xbar's canonical start at t=5 is 4,
-# the tail of the stack at 9/2, its least rep 1/2 one lap on, so the events
-# run 4, then 7, then 2. xbar 4 leaves x5 for x6, and xbar 2 then pairs with
-# the freed x5: all 8 paired, row (5, 0, 0, 8). Run from particle 0, xbar 2
-# came first and found x5 held, which left both defects until t=6: row
-# (5, 1, 1, 7). Both orders reach one state at t=6, which repeats labelled
-# at t=15, so the first repeat was (6, 9, 0, 0). Now the fully paired state
-# at t=5 is already that of t=14: cycle (5, 9, 0, 0).
+# A waited ring on which the order of the pairing events decided the output
+# while waits were countdowns: particles stacked on one obstacle with
+# different countdowns stood at one point. On the refined field they stand
+# on different copies, and events run from particle 0 give the same rows.
+# 7 pairs form by t=4, and the state at t=13 is that of t=4, labelled:
+# cycle (4, 9, 0, 0).
 RING4_RING = Ring(4)
 RING4 = (
     thirds(RING4_RING, (1, 1, 3, 3, 6, 7, 10, 11)),
@@ -381,8 +441,9 @@ def test_run_coupled_matches_fraction_loop(case, steps):
 
 def test_waited_pairing_order_is_read_off_positions():
     diag = run_coupled(*RING4, 30)
-    assert [row[:4] for row in diag.rows[3:6]] == [(4, 1, 1, 7), (5, 0, 0, 8), (6, 0, 0, 8)]
-    assert diag.cycle == (5, 9, 0, 0)
+    assert [row[:4] for row in diag.rows[3:6]] == [(4, 1, 1, 7), (5, 1, 1, 7), (6, 1, 1, 7)]
+    assert diag.cycle == (4, 9, 0, 0)
+    assert run_coupled(*RING2, 30).cycle == (8, 8, 0, 0)
 
 
 def rotated(case, k):
@@ -410,8 +471,8 @@ def rotated(case, k):
 
 
 @settings(max_examples=40)
-@given(st.one_of(coupled_cases(max_wait=0), crowded_cases()), st.integers(1, 150), st.data())
-def test_wait_free_coupled_runs_do_not_depend_on_the_rings_origin(case, steps, data):
+@given(st.one_of(coupled_cases(), crowded_cases()), st.integers(1, 150), st.data())
+def test_coupled_runs_do_not_depend_on_the_rings_origin(case, steps, data):
     # particles sit on thirds and obstacles on quarters, so a shift by k/12
     # keeps the lattice. It relabels the particles that pass the origin;
     # v_gap_abs follows particle 0, so it is left out, as are the shifts
@@ -444,12 +505,11 @@ def relabelled(state, s, s_bar):
     return CoupledState(side(state.x, s), side(state.xbar, s_bar), state.z, pairing)
 
 
-# Ring(2), every obstacle waiting 1 step. The state these reach at t=8 has
-# stacks on both sides, and two x events of its next step touch one pair:
-# x1 passes xbar 2, the partner of x3, which moves too.
-# While apply_pairing ran each side's events in mover order from particle 0,
-# relabelling x by 2 or 3 changed the pairing that step leads to; from each
-# side's canonical start it does not.
+# Ring(2), every obstacle waiting 1 step. While waits were countdowns, the
+# state these reached at t=8 had stacks on both sides, two x events of its
+# next step touched one pair, and events run from particle 0 made the step
+# depend on the labels. On the refined field no step here has two events;
+# the state at t=16 is that of t=8: cycle (8, 8, 0, 0).
 RING2_RING = Ring(2)
 RING2 = (
     thirds(RING2_RING, (0, 0, 1, 2, 3, 3, 4, 5)),
@@ -468,9 +528,11 @@ def test_every_step_commutes_with_every_relabelling(case, steps):
     # must map every cyclic relabelling (s, s_bar) of its state to the same
     # relabelling of its result. s_bar runs over two turns, so xbar also
     # moves a lap against x. The cycle key must be the same for them all.
-    # The case is stepped on its lattice, as run_coupled steps it.
+    # The case is stepped on its lattice with its waits encoded, as
+    # run_coupled steps it.
     x, xbar, z = case
     _, domain, z, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
+    _, domain, z, px, pb = encode_waits(domain, z, px, pb)
     x, xbar = ParticleConfig(px, domain), ParticleConfig(pb, domain)
     state = CoupledState.initial(x, xbar, z)
     for _ in range(steps):
@@ -537,23 +599,37 @@ def test_run_coupled_matches_fraction_loop_on_criterion_10():
         assert diag.final_state.xbar.unwrapped() == state.xbar.unwrapped()
 
 
-def test_coupling_error_dump_in_input_units():
-    # a wait-2 obstacle splits a pair by more than the local speed at t=6
-    # (the open waited-coupling defect); the lattice here is D=4, so lattice
-    # units would read 4 times larger
+def test_coupling_error_dump_in_input_units(monkeypatch):
+    # No known input loses pair integrity on the refined field, so a faulty
+    # pairing stands in for one: at t=6 it pairs x1 at 19/2 with xbar 0 at
+    # 25/4, across both obstacles, while x0 waits out the wait-2 obstacle at
+    # 8. The lattice is D=4 with M=3, so the refined lattice would read 12
+    # times larger, and x0's refined position, 8 + 1/12, is not its place
     ring = Ring(10)
     z = ObstacleField((8, F(17, 2)), (2, 0), (1, 1), 1, ring)
     x = ParticleConfig.from_iterable((F(7, 2), 6), ring)
     xbar = ParticleConfig.from_iterable((F(1, 4), F(9, 2)), ring)
-    assert to_lattice(ring, z, x.positions, xbar.positions)[0] == 4
+    scale, domain, z_lat, _ = to_lattice(ring, z, x.positions + xbar.positions)
+    assert scale == 4 and encode_waits(domain, z_lat)[0] == 3
+    honest = apply_pairing
+
+    def faulty(state, events):
+        paired = honest(state, events)
+        return CoupledState(paired.x, paired.xbar, paired.z, {1: 0}) if paired.time == 6 else paired
+
+    # run_coupled and the oracle's coupled_step both pair through it
+    monkeypatch.setattr(coupling, "apply_pairing", faulty)
+    monkeypatch.setitem(globals(), "apply_pairing", faulty)
     _, state, violations = coupled_oracle(x, xbar, z, 80)
-    assert violations is not None
+    assert state.time == 6 and state.x.wait_remaining == (1, 0)
     with pytest.raises(CouplingError) as exc:
         run_coupled(x, xbar, z, 80)
     assert_dump_matches(exc, state, violations)
+    assert exc.value.dump["x"] == ["8", "19/2"]
     assert exc.value.dump["violations"] == [
-        "pair (1,1): span 3/2 exceeds local speed 1",
-        "pair (1,1): obstacle strictly inside span",
+        "pair (1,0): span 13/4 exceeds local speed 1",
+        "pair (1,0): obstacle strictly inside span",
+        "pair (1,0): 2 defect(s) strictly inside span",
     ]
     u_x = [F(p) for p in exc.value.dump["x"]]
     u_b = [F(p) for p in exc.value.dump["xbar"]]
