@@ -19,16 +19,13 @@ from .core import (
     ObstacleField,
     ParticleConfig,
     PropertyViolationError,
-    RefinedObstacleField,
     Ring,
     Scalar,
     build_extended,
     extended_density,
     format_scalar,
     gap,
-    modified_gap,
     parse_scalar,
-    refine_waiting,
 )
 from .coupling import (
     CoupledState,
@@ -45,7 +42,6 @@ from .dynamics import (
     TrajectorySummary,
     TrajectoryWriter,
     displacements,
-    local_velocity,
     run,
     step,
 )
@@ -61,13 +57,11 @@ from .scenarios import (
     scale_config,
 )
 from .stats import (
-    DensityEstimate,
     ExtendedBoundsReport,
     VelocityEstimate,
     check_extended_bounds,
     classify_phase,
     density,
-    estimate_density,
     one_sided_density,
     one_sided_profile,
     predict_velocity,
@@ -80,7 +74,6 @@ from .zerorange import (
     TrackedZeroRange,
     ZeroRangeState,
     embed_and_compare,
-    hetero_velocity,
     zr_step,
     zr_step_tracked,
     zr_trajectory,

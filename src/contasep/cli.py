@@ -37,7 +37,6 @@ from .core import (
     extended_density,
     format_scalar,
     parse_scalar,
-    refine_waiting,
 )
 from .coupling import run_coupled
 from .dynamics import Replicas, SimState, TrajectoryWriter, run
@@ -330,7 +329,7 @@ def _require(entry, what: str):
 
 def cmd_extend(cfg: ExperimentConfig) -> int:
     z = _require(cfg.obstacles, "an obstacle spec")
-    ext = build_extended(refine_waiting(z))
+    ext = build_extended(z)
     report = check_extended_bounds(z)
     _write_csv(
         cfg.out / "extended.csv",

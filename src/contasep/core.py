@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence, Union
@@ -292,16 +292,22 @@ def _on_lattice(v, scale: int) -> int:
 
 
 def to_lattice(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple | None:
-    """Exact inputs as integers on the lattice (1/D)Z, or None if any is a float.
+    """Exact inputs as integers on a lattice with each wait made position,
+    or None if any is a float.
 
     z lies on domain, as run and run_coupled require. D is the lcm of the
     denominators of the domain bounds, the field's positions, velocities
-    and top speed, and every given position. Returns (D, domain, field,
-    *positions), each value multiplied by D. Every move of the dynamics
+    and top speed, and every given position; M is the longest wait plus 1.
+    Returns (D, M, domain, field, *positions), each value multiplied by
+    D * M, with obstacle q (in units of 1/D) and wait w read as w + 1
+    zero-wait copies at q*M + M - 1 - w, ..., q*M + M - 1, the last with q's
+    speed, the others speed M (one copy a step), and a position p at
+    p*M + M - 1. The step on this field is the countdown step: e stands at
+    (e // M) / D with countdown M - 1 - e % M. Every move of the dynamics
     lands on an obstacle, a neighbour's old position or p + v, so a run
     stays on the lattice, and its comparisons, sums and differences on these
-    ints are exactly D times those on the inputs. An infinite line end stays
-    infinite.
+    ints are exactly D * M times those on the refined inputs. With no waits
+    M = 1. An infinite line end stays infinite.
     """
     values = [*z.positions, *z.velocities, z.top_speed]
     for dom in (domain, z.domain):
@@ -316,85 +322,49 @@ def to_lattice(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple 
     if not all(isinstance(v, (int, Fraction)) for v in values):
         return None
     scale = math.lcm(*(v.denominator for v in values))
-    lattice = _lattice_domain(domain, scale)
-    scaled_z = ObstacleField(
-        tuple(_on_lattice(p, scale) for p in z.positions),
-        z.waits,
-        tuple(_on_lattice(v, scale) for v in z.velocities),
-        _on_lattice(z.top_speed, scale),
-        lattice,
-    )
-    scaled = (tuple(_on_lattice(p, scale) for p in group) for group in positions)
-    return (scale, lattice, scaled_z, *scaled)
-
-
-def encode_waits(domain: Domain, z: ObstacleField, *positions: Sequence) -> tuple:
-    """Lattice inputs (see to_lattice) with each wait w made w + 1 zero-wait
-    copies, as refine_waiting reads it: (M, domain, field, *positions).
-
-    M is the longest wait plus 1. Obstacle q goes to copies at q*M + M - 1 - w,
-    ..., q*M + M - 1, the last with q's speed times M, the others speed M; a
-    particle at p goes to p*M + M - 1; the domain and top speed are times M.
-    The step on this field is the countdown step: e stands at e // M with
-    countdown M - 1 - e % M. With no waits M = 1 and nothing changes.
-    """
     m = max(z.waits, default=0) + 1
-    copies = tuple(q * m + m - 1 - k for q, w in zip(z.positions, z.waits) for k in range(w, -1, -1))
-    speeds = tuple(m if k else v * m for v, w in zip(z.velocities, z.waits) for k in range(w, -1, -1))
-    lattice = _lattice_domain(domain, m)
-    field = ObstacleField(copies, (0,) * len(copies), speeds, z.top_speed * m, lattice)
-    return (m, lattice, field, *(tuple(p * m + m - 1 for p in group) for group in positions))
+    unit = scale * m
+    lattice = _lattice_domain(domain, unit)
+    copies = tuple(_on_lattice(q, unit) + m - 1 - k for q, w in zip(z.positions, z.waits) for k in range(w, -1, -1))
+    speeds = tuple(m if k else _on_lattice(v, unit) for v, w in zip(z.velocities, z.waits) for k in range(w, -1, -1))
+    field = ObstacleField(copies, (0,) * len(copies), speeds, _on_lattice(z.top_speed, unit), lattice)
+    scaled = (tuple(_on_lattice(p, unit) + m - 1 for p in group) for group in positions)
+    return (scale, m, lattice, field, *scaled)
 
 
-def modified_gap(x: ParticleConfig, z: ObstacleField, i: int) -> Scalar:
-    """min of the particle gap and the distance to the next obstacle strictly ahead."""
-    g = gap(x, i)
-    d, _ = z.next_ahead(x.positions[i])
-    return g if g <= d else d
+class _Unscale:
+    """Lattice ints (see to_lattice) back to input units, remembered per
+    value: e stands at Fraction(e // m, scale), its countdown m - 1 - e % m.
 
-
-@dataclass(frozen=True)
-class RefinedObstacleField:
-    """Waiting times realized as co-located zero-wait obstacle copies.
-
-    Segment velocities for the zero-length segments between copies are the
-    unit fillers; they never govern any movement.
+    A run revisits few values (obstacles, speeds, positions on a ring), so
+    observer states look most of them up instead of building a Fraction.
     """
 
-    positions: tuple
-    velocities: tuple
-    top_speed: Scalar
-    domain: Domain
+    _LIMIT = 1 << 16
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", _as_tuple(self.positions))
-        object.__setattr__(self, "velocities", _as_tuple(self.velocities))
-        if len(self.positions) != len(self.velocities):
-            raise ConfigurationError("refined field arrays must have equal length")
-        for i in range(1, len(self.positions)):
-            if self.positions[i] < self.positions[i - 1]:
-                raise ConfigurationError("refined positions must be nondecreasing")
-        for v in self.velocities:
-            if not v > 0:
-                raise ConfigurationError("refined velocities must be positive")
+    def __init__(self, scale: int, m: int):
+        self.scale = scale
+        self.m = m
+        self.known: dict = {}
 
-    @property
-    def count(self) -> int:
-        return len(self.positions)
+    def __call__(self, values) -> tuple:
+        known = self.known
+        if len(known) > self._LIMIT:
+            known.clear()
+        out = []
+        for v in values:
+            f = known.get(v)
+            if f is None:
+                f = known[v] = Fraction(v // self.m, self.scale)
+            out.append(f)
+        return tuple(out)
 
-
-def refine_waiting(z: ObstacleField) -> RefinedObstacleField:
-    """Replace obstacle j by waits[j] + 1 co-located zero-wait copies."""
-    positions: list = []
-    velocities: list = []
-    for j in range(z.count):
-        one = unit_like(z.velocities[j])
-        for _ in range(z.waits[j]):
-            positions.append(z.positions[j])
-            velocities.append(one)
-        positions.append(z.positions[j])
-        velocities.append(z.velocities[j])
-    return RefinedObstacleField(tuple(positions), tuple(velocities), z.top_speed, z.domain)
+    def state(self, s, domain: Domain):
+        """Lattice simulation state s in input units, on domain, its
+        countdowns its own plus those its positions encode."""
+        m = self.m
+        waits = tuple(w + m - 1 - r % m for w, r in zip(s.wait_remaining, s.reps))
+        return replace(s, reps=self(s.reps), wait_remaining=waits, domain=domain)
 
 
 @dataclass(frozen=True)
@@ -444,15 +414,16 @@ class ExtendedObstacleField:
         return _ratio(n, self.domain.end - self.domain.start)
 
 
-def build_extended(z) -> ExtendedObstacleField:
+def build_extended(z: ObstacleField) -> ExtendedObstacleField:
     """Insert virtual obstacles at z_j + m*v_j strictly before the next obstacle.
 
-    Accepts a plain or refined field. A candidate landing exactly on the next
-    obstacle is dropped, so a gap s contributes ceil(s / v_j) points counting
-    its left endpoint; on a float field, so is one within _FLOAT_TOL of it,
-    where rounding in z_j + m*v_j would otherwise add a point. On a ring the
-    last gap wraps; on a line the last obstacle extends to the window end
-    (exclusive), which must be finite.
+    A wait w_j is read as w_j + 1 co-located zero-wait copies of obstacle j:
+    w_j real points at z_j of unit speed come before it. A candidate landing
+    exactly on the next obstacle is dropped, so a gap s contributes
+    ceil(s / v_j) points counting its left endpoint; on a float field, so is
+    one within _FLOAT_TOL of it, where rounding in z_j + m*v_j would
+    otherwise add a point. On a ring the last gap wraps; on a line the last
+    obstacle extends to the window end (exclusive), which must be finite.
     """
     pos = z.positions
     vels = z.velocities
@@ -470,10 +441,10 @@ def build_extended(z) -> ExtendedObstacleField:
             raise ConfigurationError("extending a line field requires a finite window end")
         ends = [pos[a + 1] if a + 1 < m else z.domain.end for a in range(m)]
     for a in range(m):
-        za, va, nxt = pos[a], vels[a], ends[a]
-        out_pos.append(za)
-        out_real.append(True)
-        out_vel.append(va)
+        za, va, nxt, wa = pos[a], vels[a], ends[a], z.waits[a]
+        out_pos += [za] * (wa + 1)
+        out_real += [True] * (wa + 1)
+        out_vel += [unit_like(va)] * wa + [va]
         k = 1
         while za + k * va < nxt - tol:
             out_pos.append(za + k * va)
@@ -485,4 +456,4 @@ def build_extended(z) -> ExtendedObstacleField:
 
 def extended_density(z: ObstacleField):
     """Density of the extended configuration of the waiting-refined field."""
-    return build_extended(refine_waiting(z)).density()
+    return build_extended(z).density()

@@ -27,10 +27,10 @@ from .core import (
     ObstacleField,
     ParticleConfig,
     Ring,
-    encode_waits,
+    _Unscale,
     to_lattice,
 )
-from .dynamics import SimState, _check_steps, _step_scalar, _Unscale
+from .dynamics import SimState, _check_steps, _step_scalar
 
 
 def _indices(values, count) -> bool:
@@ -475,8 +475,8 @@ def run_coupled(
     violation aborts with a state dump. The verdict is "nearly successful"
     when the final defect count is below threshold times the initial one.
     Input must be exact (ints and Fractions): it is stepped, paired and
-    checked as integers on its lattice (see to_lattice) with its waits made
-    position (see encode_waits), so no rule reads a countdown. Rows, the
+    checked as integers on its lattice with its waits made position (see
+    to_lattice), so no rule reads a countdown. Rows, the
     final state and the dump are decoded to input units, the dump's
     violations read on the refined field.
 
@@ -512,8 +512,7 @@ def run_coupled(
     if lattice is None:
         # float rounding makes the pairing checks report violations that do not occur
         raise ConfigurationError("coupled runs need exact input (mode exact), got floats")
-    scale, domain, z_work, px, pb = lattice
-    m, domain, z_work, px, pb = encode_waits(domain, z_work, px, pb)
+    scale, m, domain, z_work, px, pb = lattice
     state = CoupledState.initial(ParticleConfig(px, domain), ParticleConfig(pb, domain), z_work)
     unscale = _Unscale(scale, m)
     initial_defects = state.x.count + state.xbar.count
@@ -624,7 +623,7 @@ def _canonical_key(state: CoupledState) -> tuple:
     and span at most a lap, and no particle but c's stack stands at that rep,
     so each stands at its rep plus the whole laps of particle c, its base.
     The key is one flat tuple of both sides' reps read so (no countdown: see
-    encode_waits), and x's partners as canonical xbar indices (None for a
+    to_lattice), and x's partners as canonical xbar indices (None for a
     defect). marks is (c_x, c_b, base_x, base_b). Two states with equal keys are one
     relabelling and lap shift of each other, and their marks give it.
     """

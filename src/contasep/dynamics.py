@@ -1,13 +1,15 @@
 """Synchronous parallel-update dynamics with obstacles and waiting service.
 
 Each step every particle moves by min(gap ahead, distance to the next obstacle
-strictly ahead, segment velocity), all reading the time-t state. A particle
-landing exactly on an obstacle with positive waiting time starts a countdown
-of that many full steps during which it does not move; countdowns run per
-particle, so several particles stacked on one obstacle serve their waits
-concurrently and the obstacle releases one particle per step once saturated.
-This realizes the co-located zero-wait obstacle copies reading of waiting
-times, under which movements with original and refined obstacles coincide.
+strictly ahead, segment velocity), all reading the time-t state. A waiting
+time w is read as w + 1 co-located zero-wait copies of its obstacle: a
+particle landing on it stays w full steps. Several particles stacked on one
+obstacle serve their waits concurrently, and the obstacle releases one
+particle per step once saturated. An exact run steps that reading itself:
+to_lattice makes each wait position on an integer lattice, where a waiting
+particle walks its copies one a step. The step rule's countdown branch
+realizes the same reading on float input, and runs out the countdowns an
+input state carries.
 
 Movement targets are assigned by snapping to the exact candidate position
 (obstacle position or the neighbor's old position) rather than by adding a
@@ -35,6 +37,7 @@ from .core import (
     Scalar,
     _as_tuple,
     _tolerance,
+    _Unscale,
     to_lattice,
 )
 
@@ -141,13 +144,6 @@ def _step_scalar(state: SimState, z: ObstacleField) -> SimState:
 
 
 step = _step_scalar
-
-
-def local_velocity(state: SimState, z: ObstacleField, i: int) -> Scalar:
-    """What step would move particle i right now, without moving anything."""
-    if not 0 <= i < state.count:
-        raise IndexError(f"particle index {i} out of range 0..{state.count - 1}")
-    return displacements(state, step(state, z))[i]
 
 
 def default_intervals(domain: Domain) -> tuple:
@@ -629,8 +625,10 @@ def run(
     bit-identical positions. On a ring it stops stepping once the state
     repeats up to a relabelling of the particles, and replays the rest of
     the run exactly (TrajectorySummary.cycle).
-    Exact input is stepped as integers on its lattice (see to_lattice);
-    snapshots and the final state come back in input units as Fractions.
+    Exact input is stepped as integers on its lattice with its waits made
+    position (see to_lattice); snapshots and the final state come back in
+    input units as Fractions, countdowns decoded from positions. Countdowns
+    the input state carries run out as countdowns.
     Each observer is called as obs(before, after) on each step's states, in
     input units.
 
@@ -668,9 +666,9 @@ def run(
         # float or mixed input has no lattice; it is stepped as given
         work, z_work, unscale, in_units = state, z, tuple, lambda s: s
     else:
-        scale, domain, z_work, reps = lattice
+        scale, m, domain, z_work, reps = lattice
         work = SimState(reps, state.laps, state.wait_remaining, state.time, domain)
-        unscale = _Unscale(scale, 1)
+        unscale = _Unscale(scale, m)
         in_units = lambda s: unscale.state(s, state.domain)
     snapshots = {0: unscale(work.unwrapped())}
     after = state
@@ -687,38 +685,3 @@ def run(
         if t + 1 in snapshot_at:
             snapshots[t + 1] = unscale(work.unwrapped())
     return TrajectorySummary(steps, snapshots, in_units(work))
-
-
-class _Unscale:
-    """Lattice ints back to input units, remembered per value: e stands at
-    Fraction(e // m, scale), its countdown m - 1 - e % m (see encode_waits).
-
-    A run revisits few values (obstacles, speeds, positions on a ring), so
-    observer states look most of them up instead of building a Fraction.
-    """
-
-    _LIMIT = 1 << 16
-
-    def __init__(self, scale: int, m: int):
-        self.scale = scale
-        self.m = m
-        self.known: dict = {}
-
-    def __call__(self, values) -> tuple:
-        known = self.known
-        if len(known) > self._LIMIT:
-            known.clear()
-        out = []
-        for v in values:
-            f = known.get(v)
-            if f is None:
-                f = known[v] = Fraction(v // self.m, self.scale)
-            out.append(f)
-        return tuple(out)
-
-    def state(self, s: SimState, domain: Domain) -> SimState:
-        """Lattice state s in input units, on domain, its countdowns its own
-        plus those its positions encode."""
-        m = self.m
-        waits = tuple(w + m - 1 - r % m for w, r in zip(s.wait_remaining, s.reps))
-        return SimState(self(s.reps), s.laps, waits, s.time, domain)

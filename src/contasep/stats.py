@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 from .core import (
     ConfigurationError,
     DegenerateInputError,
-    Domain,
     ObstacleField,
     ParticleConfig,
     Ring,
@@ -197,51 +196,3 @@ def check_extended_bounds(z: ObstacleField) -> ExtendedBoundsReport:
         lower <= rho_ext,
         rho_ext <= upper,
     )
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Windowed density with nested-window min/max proxies for the one-sided limits."""
-
-    value: Scalar
-    window: tuple
-    rho_minus: Scalar
-    rho_plus: Scalar
-
-
-def estimate_density(
-    x: ParticleConfig,
-    center: Scalar,
-    width: Scalar,
-    levels: int = 6,
-) -> DensityEstimate:
-    """Densities over windows doubling from `width` around `center`.
-
-    The returned value uses the largest window; rho_minus / rho_plus are the
-    min / max over all levels. Ring windows wrap and are capped at the
-    circumference.
-    """
-    if not width > 0:
-        raise DegenerateInputError(f"window width must be positive, got {width}")
-    if levels < 1:
-        raise DegenerateInputError("need at least one window level")
-    ring = isinstance(x.domain, Ring)
-    samples = []
-    w = width
-    for _ in range(levels):
-        if ring and w >= x.domain.length:
-            w = x.domain.length
-        a = center - w / 2
-        if ring:
-            length = x.domain.length
-            start = a % length
-            count = sum(1 for p in x.positions if (p - start) % length <= w)
-        else:
-            count = interval_count(x.positions, a, a + w)
-        samples.append((w, a, _ratio(count, w)))
-        if ring and w == x.domain.length:
-            break
-        w = w * 2
-    w_last, a_last, value = samples[-1]
-    values = [s[2] for s in samples]
-    return DensityEstimate(value, (a_last, a_last + w_last), min(values), max(values))

@@ -147,13 +147,6 @@ def zr_velocity(rho_y: Scalar) -> Scalar:
     return min(1, _ratio(1, rho_y))
 
 
-def hetero_velocity(rho_y: Scalar, rho_lattice: Scalar) -> Scalar:
-    """Physical speed on a spaced lattice: unit-lattice speed over lattice density."""
-    if not rho_lattice > 0:
-        raise DegenerateInputError(f"lattice density must be positive, got {rho_lattice}")
-    return zr_velocity(rho_y) / rho_lattice
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of running the continuum engine against the lattice engine."""

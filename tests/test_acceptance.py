@@ -22,7 +22,6 @@ from contasep import (
     embed_and_compare,
     extended_density,
     predict_velocity,
-    refine_waiting,
     run,
     run_coupled,
     scale_config,
@@ -172,7 +171,7 @@ def test_criterion_06_left_shift_law():
         waits = tuple(rng.randint(0, 2) for _ in range(k))
         vels = tuple(rng.choice((F(1), F(1, 2), F(3, 4))) for _ in range(k))
         z = ObstacleField(pos, waits, vels, 1, ring)
-        ext = build_extended(refine_waiting(z))
+        ext = build_extended(z)
         state = run(SimState.initial(ParticleConfig.from_iterable(ext.positions, ring)), z, 1).final_state
         got = tuple(sorted(p % length for p in state.reps))
         shifted = tuple(ext.positions[1:]) + (ext.positions[0] + length,)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import hashlib
@@ -1024,3 +1025,45 @@ def test_fast_sweep_loads_numpy_before_its_pool_forks(tmp_path):
     assert pooled.stdout == "[True]\n"
     assert main(sweep + ["--threads", "1", "--out", str(tmp_path / "serial")]) == 0
     assert (tmp_path / "pooled" / "fd.csv").read_bytes() == (tmp_path / "serial" / "fd.csv").read_bytes()
+
+
+def unused_imports(source: str) -> list:
+    """The names a module imports and never reads, as ast sees them: a
+    name counts as read where it is loaded or named in a string
+    annotation. Imports on a line marked `# noqa: F401` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        hints = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            every = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs, node.args.vararg, node.args.kwarg]
+            hints = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            hints = [node.annotation]
+        for hint in hints:
+            if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(hint.value, mode="eval")) if isinstance(n, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports the package's public names for its callers
+    package = Path(contasep.__file__).parent
+    unused = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (found := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+    assert unused_imports("import os\nfrom a import b as c, d  # noqa: F401\ndef f(x: 'os.PathLike'): pass\n") == []
+    assert unused_imports("from __future__ import annotations\nimport os, re\nre.compile\n") == ["line 2: os"]
+    assert unused_imports("from a import (\n    b,\n    c,\n)\nc\n") == ["line 2: b"]

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import assume, given
@@ -15,9 +16,7 @@ from contasep import (
     extended_density,
     format_scalar,
     gap,
-    modified_gap,
     parse_scalar,
-    refine_waiting,
 )
 from contasep.core import INFINITY
 
@@ -95,25 +94,6 @@ def test_gap_index_out_of_range():
         gap(x, 1)
 
 
-def test_modified_gap_obstacle_closer():
-    x = ParticleConfig.from_iterable((0, 5), HALF_LINE)
-    z = make_field((3,), HALF_LINE)
-    assert modified_gap(x, z, 0) == 3
-
-
-def test_modified_gap_particle_closer():
-    x = ParticleConfig.from_iterable((0, F(2, 5)), HALF_LINE)
-    z = make_field((3,), HALF_LINE)
-    assert modified_gap(x, z, 0) == F(2, 5)
-
-
-def test_modified_gap_skips_own_obstacle():
-    # sitting exactly on an obstacle: only strictly-ahead obstacles count
-    x = ParticleConfig.from_iterable((3, 9), HALF_LINE)
-    z = make_field((3, 4), HALF_LINE)
-    assert modified_gap(x, z, 0) == 1
-
-
 def test_build_extended_inserts_virtual_points():
     z = make_field((0, F(5, 2)), Line(0, F(5, 2)))
     ext = build_extended(z)
@@ -145,32 +125,37 @@ def test_build_extended_infinite_line_rejected():
         build_extended(z)
 
 
+def real_points(z):
+    """The real points of z's extended field, as (positions, speeds): each
+    obstacle j with its waits[j] unit-speed copies before it."""
+    ext = build_extended(z)
+    return tuple(compress(ext.positions, ext.real)), tuple(compress(ext.segment_velocities, ext.real))
+
+
 def test_refine_waiting_multiplies_copies():
     z = make_field((5,), Line(0, 10), waits=(2,))
-    r = refine_waiting(z)
-    assert r.positions == (5, 5, 5)
-    assert r.velocities == (1, 1, 1)
+    assert real_points(z) == ((5, 5, 5), (1, 1, 1))
+    # the copies stand before the obstacle's own virtual points
+    ext = build_extended(z)
+    assert ext.positions == (5, 5, 5, 6, 7, 8, 9)
+    assert ext.real == (True,) * 3 + (False,) * 4
 
 
 def test_refine_waiting_zero_waits_identity():
     z = make_field((1, 4), Line(0, 10))
-    r = refine_waiting(z)
-    assert r.positions == (1, 4)
-    assert r.velocities == (1, 1)
+    assert real_points(z) == ((1, 4), (1, 1))
 
 
 def test_refine_waiting_pads_unit_velocities_before_own():
     z = make_field((1, 4), Line(0, 10), waits=(1, 0), velocities=(F(3, 4), F(1, 2)))
-    r = refine_waiting(z)
-    assert r.positions == (1, 1, 4)
-    assert r.velocities == (1, F(3, 4), F(1, 2))
+    assert real_points(z) == ((1, 1, 4), (1, F(3, 4), F(1, 2)))
 
 
 def test_refine_waiting_preserves_distinct_positions():
     z = make_field((1, 4, 7), Ring(9), waits=(3, 0, 1))
-    r = refine_waiting(z)
-    assert sorted(set(r.positions)) == [1, 4, 7]
-    assert r.count == 4 + 1 + 2
+    positions, _ = real_points(z)
+    assert sorted(set(positions)) == [1, 4, 7]
+    assert len(positions) == 4 + 1 + 2
 
 
 def test_segment_velocity_uses_segment_ahead():
@@ -290,9 +275,9 @@ def test_extended_idempotent_on_own_output(z):
 def test_refine_counts_and_positions(z, waits):
     waits = tuple(waits[:z.count]) + (0,) * max(0, z.count - len(waits))
     withwaits = ObstacleField(z.positions, waits, z.velocities, z.top_speed, z.domain)
-    r = refine_waiting(withwaits)
-    assert r.count == z.count + sum(waits)
-    assert tuple(sorted(set(r.positions))) == z.positions
+    positions, _ = real_points(withwaits)
+    assert len(positions) == z.count + sum(waits)
+    assert tuple(sorted(set(positions))) == z.positions
 
 
 @given(

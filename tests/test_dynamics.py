@@ -20,8 +20,6 @@ from contasep import (
     build_extended,
     displacements,
     gap,
-    local_velocity,
-    refine_waiting,
     run,
     run_coupled,
     step,
@@ -107,7 +105,7 @@ def test_waiting_service_holds_particle_in_place():
     state = SimState.initial(ParticleConfig.from_iterable((F(5, 2),), HALF_LINE))
     state = step(state, z)             # lands on the obstacle, enqueues
     assert positions_of(state) == (3,)
-    assert local_velocity(state, z, 0) == 0
+    assert displacements(state, step(state, z))[0] == 0
     s1 = step(state, z)
     s2 = step(s1, z)
     assert displacements(state, s1) == (0,)    # two service ticks
@@ -133,20 +131,9 @@ def test_waiting_queue_serves_one_head_at_a_time():
     assert history[4] == (5, 6)
 
 
-def test_local_velocity_examples():
-    z = make_field((3,), HALF_LINE)
-    x = ParticleConfig.from_iterable((0, F(2, 5)), HALF_LINE)
-    assert local_velocity(SimState.initial(x), z, 0) == F(2, 5)
-    z2 = make_field((3,), HALF_LINE, velocities=(2,), top=2)
-    x2 = ParticleConfig.from_iterable((0,), HALF_LINE)
-    assert local_velocity(SimState.initial(x2), z2, 0) == 2
-    with pytest.raises(IndexError):
-        local_velocity(SimState.initial(x2), z2, 1)
-
-
 def test_left_shift_on_extended_configuration():
     z = make_field((0, F(7, 2)), Ring(9), waits=(1, 0), velocities=(1, F(3, 4)))
-    ext = build_extended(refine_waiting(z))
+    ext = build_extended(z)
     x = ParticleConfig.from_iterable(ext.positions, Ring(9))
     state = run(SimState.initial(x), z, 1).final_state
     got = tuple(sorted(p % 9 for p in state.reps))

@@ -1,11 +1,10 @@
 """Exact runs on the scaled integer lattice against the public Fraction step.
 
 run and run_coupled step exact input as integers times the lcm D of the input
-denominators, and run_coupled makes each wait position (encode_waits). These
-tests replay the same inputs through the public one-step functions on
-Fractions, the coupled ones on the refined field, and require identical
-states, snapshots, observer reports, coupling rows, pairings and error
-messages.
+denominators, with each wait made position (to_lattice). These tests replay
+the same inputs through the public one-step functions on Fractions, the
+coupled ones on the refined field, and require identical states, snapshots,
+observer reports, coupling rows, pairings and error messages.
 """
 import random
 import re
@@ -34,10 +33,10 @@ from contasep import (
     run_coupled,
     step,
 )
-from contasep.core import INFINITY, encode_waits, to_lattice
-from contasep import coupling
+from contasep.core import INFINITY, _Unscale, to_lattice
+from contasep import coupling, dynamics
 from contasep.coupling import _canonical_key
-from contasep.dynamics import _Unscale, default_intervals
+from contasep.dynamics import default_intervals
 from contasep.scenarios import poisson_obstacles
 
 F = Fraction
@@ -77,8 +76,9 @@ def line_cases(draw, max_wait=2):
 
 
 def fraction_run(x, z, steps):
-    """Oracle: the states of repeated public step() calls, from t=0."""
-    states = [SimState.initial(x)]
+    """Oracle: the states of repeated public step() calls from x, a
+    configuration or a state, from t=0."""
+    states = [x if isinstance(x, SimState) else SimState.initial(x)]
     for _ in range(steps):
         states.append(step(states[-1], z))
     return states
@@ -126,12 +126,11 @@ def test_run_leaves_the_countdowns_of_as_many_steps():
 @given(st.one_of(ring_cases(max_wait=3), line_cases(max_wait=3)), st.integers(1, 60))
 @example(WAITED, 24)
 def test_encoded_step_decodes_to_the_countdown_step(case, steps):
-    # encode_waits makes a wait w into w + 1 zero-wait copies, and stepping
+    # to_lattice makes a wait w into w + 1 zero-wait copies, and stepping
     # that field must be the countdown step: decoded, every state equals the
     # one public step() reaches on the input, countdowns included
     x, z = case
-    scale, domain, z_lat, reps = to_lattice(x.domain, z, x.positions)
-    m, domain, z_enc, reps = encode_waits(domain, z_lat, reps)
+    scale, m, domain, z_enc, reps = to_lattice(x.domain, z, x.positions)
     assert m == max(z.waits, default=0) + 1 and not any(z_enc.waits)
     state = SimState.initial(ParticleConfig(reps, domain))
     decode = _Unscale(scale, m)
@@ -140,50 +139,83 @@ def test_encoded_step_decodes_to_the_countdown_step(case, steps):
         assert decode.state(state, x.domain) == want
 
 
+def test_exact_run_steps_a_wait_free_field():
+    # criterion 8's waited ring: run steps the field to_lattice encodes, on
+    # which every wait is position, so the step rule never reads a wait
+    ring = Ring(24)
+    z = ObstacleField(tuple(range(0, 24, 3)), (1, 0, 0, 0, 1, 0, 0, 0), (1, F(1, 2)) * 4, 1, ring)
+    x = ParticleConfig.equispaced(ring, 48, F(1, 4))
+    honest, waits = dynamics._step_scalar, []
+
+    def spy(state, field):
+        waits.append(field.waits)
+        return honest(state, field)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_step_scalar", spy)
+        plain = run(SimState.initial(x), z, 40)
+        checked = run(SimState.initial(x), z, 40, observers=(InvariantChecker(z),))
+    assert len(waits) == 80 and not any(map(any, waits))
+    assert plain.final_state == checked.final_state == fraction_run(x, z, 40)[-1]
+
+
 def test_encode_waits_makes_each_wait_into_copies():
     # M = 3: the wait-2 obstacle at 1 becomes copies at 3, 4 and 5, the
     # wait-0 one at 4 a copy at 14, and a particle at p goes to 3p + 2
     line = Line(-1, 10)
     z = ObstacleField((1, 4), (2, 0), (1, 2), 3, line)
-    m, domain, z_enc, xs = encode_waits(line, z, (-1, 1, 4))
-    assert (m, domain, xs) == (3, Line(-3, 30), (-1, 5, 14))
+    scale, m, domain, z_enc, xs = to_lattice(line, z, (-1, 1, 4))
+    assert (scale, m, domain, xs) == (1, 3, Line(-3, 30), (-1, 5, 14))
     assert (z_enc.positions, z_enc.waits, z_enc.velocities, z_enc.top_speed) == (
         (3, 4, 5, 14), (0,) * 4, (3, 3, 3, 6), 9
     )
-    assert encode_waits(line, ObstacleField((1,), (0,), (1,), 3, line), (4,)) == (
-        1, line, ObstacleField((1,), (0,), (1,), 3, line), (4,)
+    assert to_lattice(line, ObstacleField((1,), (0,), (1,), 3, line), (4,)) == (
+        1, 1, line, ObstacleField((1,), (0,), (1,), 3, line), (4,)
     )
 
 
 def test_to_lattice_scales_by_the_lcm_of_denominators():
     ring = Ring(F(15, 2))
     z = ObstacleField((0, F(5, 4)), (1, 0), (F(1, 2), 1), F(3, 2), ring)
-    scale, domain, zs, xs = to_lattice(ring, z, (F(1, 3), 7))
-    assert scale == 12
-    assert domain == Ring(90)
-    assert (zs.positions, zs.waits, zs.velocities, zs.top_speed) == ((0, 15), (1, 0), (6, 12), 18)
+    # D = 12 and M = 2: the wait-1 obstacle at 0 becomes copies at 0 and 1
+    scale, m, domain, zs, xs = to_lattice(ring, z, (F(1, 3), 7))
+    assert (scale, m) == (12, 2)
+    assert domain == Ring(180)
+    assert (zs.positions, zs.waits, zs.velocities, zs.top_speed) == ((0, 1, 31), (0, 0, 0), (2, 12, 24), 36)
     assert zs.domain == domain
-    assert xs == (4, 84)
+    assert xs == (9, 169)
     assert all(type(v) is int for v in (*zs.positions, *zs.velocities, *xs))
 
 
 def test_to_lattice_keeps_an_infinite_line_end_and_refuses_floats():
     line = Line(F(-1, 2), INFINITY)
     z = ObstacleField.empty(line, 1)
-    scale, domain, _, xs = to_lattice(line, z, (0, F(3, 4)))
-    assert (scale, domain, xs) == (4, Line(-2, INFINITY), (0, 3))
+    scale, m, domain, _, xs = to_lattice(line, z, (0, F(3, 4)))
+    assert (scale, m, domain, xs) == (4, 1, Line(-2, INFINITY), (0, 3))
     assert to_lattice(line, z, (0.5,)) is None
     assert to_lattice(Ring(6.0), ObstacleField.empty(Ring(6.0), 1), (0,)) is None
 
 
 @settings(max_examples=60)
-@given(st.one_of(ring_cases(), line_cases()), st.integers(0, 30), st.data())
+@given(st.one_of(ring_cases(max_wait=3), line_cases(max_wait=3)), st.integers(0, 30), st.data())
 def test_run_matches_fraction_steps(case, steps, data):
+    # the start state has countdowns 0 to 3, on obstacles and off them, which
+    # run keeps as countdowns; on a ring its labels are turned by s, the
+    # turned particles a lap on, and it is moved on c laps, as a run leaves it
     x, z = case
-    states = fraction_run(x, z, steps)
+    on = data.draw(st.lists(st.sampled_from(z.positions), max_size=3)) if z.count else []
+    x = ParticleConfig.from_iterable(x.positions + tuple(on), x.domain)
+    n = x.count
+    reps, laps = x.positions, (0,) * n
+    if isinstance(x.domain, Ring):
+        s, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-1, 1))
+        reps, laps = reps[s:] + reps[:s], (c,) * (n - s) + (c + 1,) * s
+    countdowns = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    start = SimState(reps, laps, countdowns, 0, x.domain)
+    states = fraction_run(start, z, steps)
     # split the run so the second part starts from the first one's countdowns
     split = data.draw(st.integers(0, steps))
-    first = run(SimState.initial(x), z, split, snapshot_times=range(split + 1))
+    first = run(start, z, split, snapshot_times=range(split + 1))
     second = run(first.final_state, z, steps - split, snapshot_times=range(steps - split + 1))
     state, final = second.final_state, states[-1]
     assert state.reps == final.reps
@@ -289,8 +321,7 @@ def coupled_oracle(x, xbar, z, steps):
     checks read the refined field. Rows and the state are decoded: e stands
     at (e // M) / D, its countdown M - 1 - e % M.
     """
-    scale, domain, z_lat, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
-    m, _, z_enc, px, pb = encode_waits(domain, z_lat, px, pb)
+    scale, m, _, z_enc, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
     unit = scale * m
     over = lambda values: tuple(F(v, unit) for v in values)
     refined = ObstacleField(
@@ -531,8 +562,7 @@ def test_every_step_commutes_with_every_relabelling(case, steps):
     # The case is stepped on its lattice with its waits encoded, as
     # run_coupled steps it.
     x, xbar, z = case
-    _, domain, z, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
-    _, domain, z, px, pb = encode_waits(domain, z, px, pb)
+    _, _, domain, z, px, pb = to_lattice(x.domain, z, x.positions, xbar.positions)
     x, xbar = ParticleConfig(px, domain), ParticleConfig(pb, domain)
     state = CoupledState.initial(x, xbar, z)
     for _ in range(steps):
@@ -609,8 +639,8 @@ def test_coupling_error_dump_in_input_units(monkeypatch):
     z = ObstacleField((8, F(17, 2)), (2, 0), (1, 1), 1, ring)
     x = ParticleConfig.from_iterable((F(7, 2), 6), ring)
     xbar = ParticleConfig.from_iterable((F(1, 4), F(9, 2)), ring)
-    scale, domain, z_lat, _ = to_lattice(ring, z, x.positions + xbar.positions)
-    assert scale == 4 and encode_waits(domain, z_lat)[0] == 3
+    scale, m, *_ = to_lattice(ring, z, x.positions + xbar.positions)
+    assert (scale, m) == (4, 3)
     honest = apply_pairing
 
     def faulty(state, events):

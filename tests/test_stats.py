@@ -15,7 +15,6 @@ from contasep import (
     check_extended_bounds,
     classify_phase,
     density,
-    estimate_density,
     one_sided_density,
     one_sided_profile,
     predict_velocity,
@@ -192,22 +191,3 @@ def test_velocity_spread_decays_on_liquid_ring():
     early = velocity_spread(run(SimState.initial(x), z, 100))
     late = velocity_spread(run(SimState.initial(x), z, 10000))
     assert late < early
-
-
-def test_estimate_density_nested_windows():
-    x = ParticleConfig.equispaced(Ring(16), 8)
-    est = estimate_density(x, center=4, width=2, levels=3)
-    assert est.rho_minus <= est.value <= est.rho_plus
-    assert est.rho_minus >= 0
-
-
-def test_estimate_density_ring_window_caps_at_circumference():
-    x = ParticleConfig.equispaced(Ring(8), 4)
-    est = estimate_density(x, center=1, width=4, levels=4)
-    assert est.value == F(1, 2)
-
-
-def test_estimate_density_rejects_bad_window():
-    x = ParticleConfig.equispaced(Ring(8), 4)
-    with pytest.raises(DegenerateInputError):
-        estimate_density(x, center=1, width=0)

@@ -12,7 +12,6 @@ from contasep import (
     TrackedZeroRange,
     ZeroRangeState,
     embed_and_compare,
-    hetero_velocity,
     zr_step,
     zr_step_tracked,
     zr_trajectory,
@@ -84,12 +83,6 @@ def test_zr_velocity_formula():
     assert zr_velocity(2) == F(1, 2)
     assert zr_velocity(1) == 1
     assert zr_velocity(F(1, 2)) == 1
-
-
-def test_hetero_velocity_examples():
-    assert hetero_velocity(2, F(1, 2)) == 1
-    assert hetero_velocity(F(7, 3), 1) == zr_velocity(F(7, 3))
-    assert hetero_velocity(F(1, 2), 1) == 1
 
 
 def test_tracked_stack_emits_largest_label():
