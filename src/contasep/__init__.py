@@ -24,7 +24,6 @@ from .core import (
     build_extended,
     extended_density,
     format_scalar,
-    gap,
     parse_scalar,
 )
 from .coupling import (
@@ -67,7 +66,6 @@ from .stats import (
     predict_velocity,
     velocity,
     velocity_estimate,
-    velocity_spread,
 )
 from .zerorange import (
     EquivalenceReport,

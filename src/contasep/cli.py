@@ -234,13 +234,12 @@ def _build_particles(spec, where: str, domain: Domain, mode: str, seed: Optional
     raise ConfigurationError(f"{where} needs positions, equispaced, random, or scaled")
 
 
-def _build_zero_range(spec, mode: str) -> Optional[ZeroRangeState]:
+def _build_zero_range(spec) -> Optional[ZeroRangeState]:
     if spec is None:
         return None
     return ZeroRangeState(
         _read(spec, "zero_range.occupancy", [int]),
         _read(spec, "zero_range.ring", bool, True),
-        _read(spec, "zero_range.spacings", [mode], None),
     )
 
 
@@ -278,7 +277,7 @@ def load_config(
         trajectory=_read(raw, "trajectory", bool, True),
         particle_offset=_read(raw, "particle_offset", mode, 0),
         defect_threshold=_read(raw, "defect_threshold", "fast", 0.1),
-        zero_range=_build_zero_range(_read(raw, "zero_range", dict, None), mode),
+        zero_range=_build_zero_range(_read(raw, "zero_range", dict, None)),
     )
 
 

@@ -6,7 +6,6 @@ All constructions here are pure values; nothing mutates after __init__.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -190,18 +189,6 @@ class ParticleConfig:
         return cls.from_iterable((domain.start + offset + k * step for k in range(count)), domain)
 
 
-def gap(x: ParticleConfig, i: int) -> Scalar:
-    """Distance from particle i to the next particle ahead; ring wraps, line leader sees inf."""
-    n = x.count
-    if not 0 <= i < n:
-        raise IndexError(f"particle index {i} out of range 0..{n - 1}")
-    if i + 1 < n:
-        return x.positions[i + 1] - x.positions[i]
-    if isinstance(x.domain, Ring):
-        return x.positions[0] + x.domain.length - x.positions[i]
-    return INFINITY
-
-
 @dataclass(frozen=True)
 class ObstacleField:
     """Strictly increasing obstacle positions with waiting times and segment velocities.
@@ -269,15 +256,11 @@ class ObstacleField:
         land = tuple(range(1, m + 1)) + (1 if seam else 0,)
         return speed, ahead, laps, land
 
-    def segment_velocity(self, p: Scalar) -> Scalar:
-        return self.table[0][bisect_right(self.positions, p)]
-
-    def next_ahead(self, p: Scalar) -> tuple:
-        """(distance, index) of the nearest obstacle strictly ahead of p; (INFINITY, -1) if none."""
-        _, ahead, laps, land = self.table
-        k = bisect_right(self.positions, p)
-        d = ahead[k] + self.domain.length - p if laps[k] else ahead[k] - p
-        return (d, land[k] - 1)
+    def obstacle_distance(self, k: int, p: Scalar) -> Scalar:
+        """Distance from p to the next obstacle strictly ahead of it, INFINITY
+        if none; k = bisect_right(positions, p) is p's index into table."""
+        _, ahead, laps, _ = self.table
+        return ahead[k] + self.domain.length - p if laps[k] else ahead[k] - p
 
 
 def _lattice_domain(domain: Domain, scale: int) -> Domain:

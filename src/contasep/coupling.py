@@ -377,7 +377,7 @@ def is_proper(state: CoupledState) -> list:
         return out
     z = state.z
     period = state.period
-    speed, obstacle, obstacle_laps, _ = z.table
+    speed = z.table[0]
     # the positions taken in [0, L) on a ring; a partner's offset needs no more
     r_x, r_b = state.x.reps, state.xbar.reps
     defects = None
@@ -395,8 +395,7 @@ def is_proper(state: CoupledState) -> list:
         k = bisect_right(z.positions, lo)
         if width > speed[k]:
             out.append(f"pair ({i},{j}): span {width} exceeds local speed {speed[k]}")
-        d_obs = obstacle[k] + period - lo if obstacle_laps[k] else obstacle[k] - lo
-        if d_obs < width:
+        if z.obstacle_distance(k, lo) < width:
             out.append(f"pair ({i},{j}): obstacle strictly inside span")
         if defects is None:
             defects = sorted([r_x[d] for d in state.defects_x()] + [r_b[d] for d in state.defects_xbar()])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import ceil
 from operator import eq
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     _FLOAT_TOL,
@@ -146,83 +146,53 @@ def _step_scalar(state: SimState, z: ObstacleField) -> SimState:
 step = _step_scalar
 
 
-def default_intervals(domain: Domain) -> tuple:
-    """Fixed test intervals for the interval-count invariant.
-
-    Bounds are exact unless the domain is given in floats.
-    """
-    if isinstance(domain, Ring):
-        length = _exact(domain.length)
-        out = []
-        for k in range(8):
-            a = k * length / 8
-            b = a + 3 * length / 16
-            out.append((a, b if b < length else length))
-        return tuple(out)
-    if domain.finite:
-        start = _exact(domain.start)
-        width = domain.end - start
-        return tuple(
-            (start + k * width / 4, start + k * width / 4 + width / 5) for k in range(4)
-        )
-    return ()
-
-
-def _exact(value: Scalar) -> Scalar:
-    return value if isinstance(value, float) else Fraction(value)
-
-
-def _count_in(reps: Sequence, a, b) -> int:
-    return sum(1 for r in reps if a <= r < b)
-
-
 class InvariantChecker:
     """Observer that re-derives the per-step invariants from the states
     before and after each step.
 
     Records violation messages instead of raising so a run can be audited
-    whole. It reads the engines' lookup, z.table, at each position before
-    the step: the segment speed there caps the move, and the distance to the
-    next obstacle bounds it. Neither trusts the branch the engine chose.
+    whole. Each move must be at least 0 and at most the step rule's own
+    bounds, read off the state before the step: the segment speed at p, the
+    distance to the next obstacle strictly ahead, and the gap to the next
+    particle's old position. On a ring the last particle's next is
+    particle 0 one lap on; a line's leader has no gap bound. Speed and
+    obstacle come from the engines' lookup, z.table, so no check trusts the
+    branch the engine chose.
+
+    Nothing is lost by checking moves rather than the state after the step.
+    With the state before in order and every move in bounds,
+    u_i(t+1) <= u_{i+1}(t) <= u_{i+1}(t+1), so the order holds; and a
+    particle that passes a point finds every particle ahead already at or
+    past it and leaves every particle behind below it, so at most one
+    particle passes any point in a step and no interval's count moves by
+    more than 1. With the state before out of order, some particle moves
+    back or passes its neighbour's old position, and is flagged.
     """
 
     def __init__(self, z: ObstacleField):
         self.z = z
-        self.intervals = default_intervals(z.domain)
         self.violations: list = []
 
     def __call__(self, before: SimState, after: SimState) -> None:
         z = self.z
-        ring = isinstance(z.domain, Ring)
-        length = z.domain.length if ring else None
-        speed, ahead, ahead_laps, _ = z.table
-        n = before.count
+        speed = z.table[0]
         tol = _tolerance(before.reps[:1])
         t = before.time
-        for i, (p, xi) in enumerate(zip(before.reps, displacements(before, after))):
+        u = before.unwrapped()
+        # each particle's next one's old position: after the last, particle 0 a lap on a ring, none on a line
+        ahead = u[1:] + ((u[0] + z.domain.length,) if u and isinstance(z.domain, Ring) else (INFINITY,))
+        for i, (p, xi, ui, nxt) in enumerate(zip(before.reps, displacements(before, after), u, ahead)):
             k = bisect_right(z.positions, p)
             if xi < -tol:
                 self.violations.append(f"t={t} i={i}: negative displacement {xi}")
             if xi > speed[k] + tol:
                 self.violations.append(f"t={t} i={i}: displacement {xi} above cap {speed[k]}")
-            d_obs = ahead[k] + length - p if ahead_laps[k] else ahead[k] - p
-            if d_obs != INFINITY and xi > d_obs + tol:
+            d_obs = z.obstacle_distance(k, p)
+            if xi > d_obs + tol:
                 self.violations.append(f"t={t} i={i}: obstacle barrier crossed by {xi - d_obs}")
-        if ring:
-            u_after = after.unwrapped()
-            for i in range(n - 1):
-                if u_after[i] > u_after[i + 1] + tol:
-                    self.violations.append(f"t={t} i={i}: order broken")
-            if n > 1 and u_after[-1] > u_after[0] + length + tol:
-                self.violations.append(f"t={t}: ring seam order broken")
-        else:
-            for i in range(n - 1):
-                if after.reps[i] > after.reps[i + 1] + tol:
-                    self.violations.append(f"t={t} i={i}: order broken")
-        for a, b in self.intervals:
-            delta = _count_in(after.reps, a, b) - _count_in(before.reps, a, b)
-            if abs(delta) > 1:
-                self.violations.append(f"t={t}: interval [{a},{b}) count jumped by {delta}")
+            d_gap = nxt - ui
+            if xi > d_gap + tol:
+                self.violations.append(f"t={t} i={i}: passed the next particle's old position by {xi - d_gap}")
 
 
 class TrajectoryWriter:
@@ -323,11 +293,9 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     entry, a neighbour's is its old one, and p + v keeps its own (0 after a
     ring wrap).
 
-    The interval-count invariant carries each particle's bin between the
-    interval edges, and that bin's lower and upper edge, from step to step.
-    Each step searches again only the particles that left their bin. When
-    two or more did, it counts each interval's change from those movers' old
-    and new bins; one mover changes any count by at most 1.
+    It counts InvariantChecker's four kinds of fault, each particle's move
+    checked against its cap, its next obstacle and its neighbour's old
+    position.
 
     On a ring, each replica's state is watched for a repeat up to a
     relabelling of its particles (see _Replay). Once every replica has
@@ -366,24 +334,7 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     # z.table, indexed by idx = searchsorted(z.positions, p, "right")
     speed, ahead = (np.array(col, dtype=np.float64) for col in z.table[:2])
     ahead_laps, land = (np.array(col, dtype=np.int64) for col in z.table[2:])
-    # Interval counts. Bin b holds the positions in [edges[b-1], edges[b]),
-    # the edges being the distinct interval bounds, and in_interval[b] marks
-    # the intervals it lies in. Each particle carries the key of its
-    # replica's bin, replica * nbins + b; lo_of and hi_of give a key's edges.
-    bounds = [float(v) for ab in default_intervals(domain) for v in ab]
-    # sorted(set()), not np.unique: that would load numpy.ma
-    edges = np.array(sorted(set(bounds)), dtype=np.float64)
-    nbins = edges.size + 1
-    bin_ids = np.arange(nbins)[:, None]
-    in_interval = (
-        (bin_ids > np.searchsorted(edges, bounds[::2]))
-        & (bin_ids <= np.searchsorted(edges, bounds[1::2]))
-    ).astype(np.int64)
-    lo_of = np.tile(np.append(-INFINITY, edges), len(states))
-    hi_of = np.tile(np.append(edges, INFINITY), len(states))
-    key_base = np.repeat(np.arange(len(states)) * nbins, sizes)
     bad = np.zeros(n, dtype=np.int64)
-    bad_intervals = np.zeros(len(states), dtype=np.int64)
     snapshots = {}
 
     def snap(t):
@@ -397,12 +348,9 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
     w_gap = laps[nxt] - laps
     w_gap[last] += 1
     r_gap = reps[nxt]
-    if bounds:
-        keys = key_base + edges.searchsorted(reps, "right")
-        lo, hi = lo_of[keys], hi_of[keys]
 
     def counts():
-        return np.add.reduceat(bad, first) + bad_intervals
+        return np.add.reduceat(bad, first)
 
     # a line's leader gains ground every step, so a line's state never repeats
     replay = _Replay(np, first, sizes, snapshot_at, reps, laps, w_gap, idx, counts) if ring else None
@@ -425,34 +373,19 @@ def _run_fast(batch: Replicas, z: ObstacleField, steps: int, snapshot_at: set) -
         r_best = np.where(obs, r_obs, r_best)
         idx = np.where(obs, land[idx], np.where(gap, idx[nxt], np.where(wrap, 0, idx)))
         disp = (w_best * period + r_best) - reps
-        new_laps = laps + w_best
-        w_gap = new_laps[nxt] - new_laps
-        w_gap[last] += 1
-        r_gap = r_best[nxt]
-        tally(w_gap * period + r_gap - r_best < -_FLOAT_TOL)
-        # A displacement in [0, cap] rules out the other per-particle faults
-        # too: a target past the next obstacle needs a NaN position.
+        # The target is never past the obstacle or the gap candidate in
+        # (wrap, rep) order, since each replaced the best only when not past
+        # it, so only a NaN fails those two checks; and a NaN fails the
+        # [0, cap] test too, so a step inside it has no fault at all.
         if np.count_nonzero((disp >= -_FLOAT_TOL) & (disp <= vcap)) < n:
             tally(disp < -_FLOAT_TOL)
             tally(disp > vcap + _FLOAT_TOL)
             tally(~np.where(w_best == w_obs, r_best <= r_obs, w_best < w_obs))
-        if bounds:
-            # only particles that left their bin are searched again; a NaN
-            # position fails both tests, so it is always searched
-            left = (~((r_best >= lo) & (r_best < hi))).nonzero()[0]
-            if left.size:
-                new_keys = key_base[left] + edges.searchsorted(r_best[left], "right")
-                # one particle changes each count by at most 1
-                if left.size > 1:
-                    moves = np.bincount(new_keys, minlength=lo_of.size) - np.bincount(
-                        keys[left], minlength=lo_of.size
-                    )
-                    delta = moves.reshape(len(states), nbins) @ in_interval
-                    if np.abs(delta).max() > 1:
-                        bad_intervals += (np.abs(delta) > 1).sum(axis=1)
-                keys[left] = new_keys
-                lo[left] = lo_of[new_keys]
-                hi[left] = hi_of[new_keys]
+            tally(~np.where(w_best == w_gap, r_best <= r_gap, w_best < w_gap))
+        new_laps = laps + w_best
+        w_gap = new_laps[nxt] - new_laps
+        w_gap[last] += 1
+        r_gap = r_best[nxt]
         reps = r_best
         laps = new_laps
         if t + 1 in snapshot_at:

@@ -191,7 +191,6 @@ class ScenarioSpec:
 
     name: str
     parameters: dict
-    seed: Optional[int]
     expected: str
 
 
@@ -221,7 +220,6 @@ def run_half_integer(steps: int = 100) -> ScenarioResult:
         ScenarioSpec(
             "half_integer",
             {"steps": steps},
-            None,
             "all positions stay on the half-integer lattice",
         ),
         passed,
@@ -291,7 +289,6 @@ def run_adversarial(steps: int = 200) -> ScenarioResult:
         ScenarioSpec(
             "adversarial",
             {"steps": steps},
-            None,
             "separation grows at least linearly under the adaptive schedule",
         ),
         ok_growth and ok_flat,
@@ -323,7 +320,6 @@ def run_irregular_density(levels: int = 6, factor: int = 4) -> ScenarioResult:
         ScenarioSpec(
             "irregular_density",
             {"levels": levels, "factor": factor},
-            None,
             "windowed extended density oscillates by more than 0.2",
         ),
         passed,

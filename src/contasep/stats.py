@@ -94,11 +94,6 @@ def velocity_estimate(traj: TrajectorySummary, start: int = 0) -> VelocityEstima
     return VelocityEstimate(tuple((b - a) / divisor for a, b in zip(before, after)), t)
 
 
-def velocity_spread(traj: TrajectorySummary, start: int = 0) -> Scalar:
-    """Largest pairwise difference of per-particle mean velocities."""
-    return velocity_estimate(traj, start).spread
-
-
 def predict_velocity(
     rho_x: Scalar,
     rho_z_ext: Optional[Scalar],

@@ -3,8 +3,7 @@
 Every occupied site emits exactly one particle to its right neighbor each
 step, simultaneously. When identities matter the emitted particle is the one
 with the largest label at the site. Lattices are rings of K sites or growing
-half-lines; sites may carry physical spacings (possibly zero) for the
-heterogeneous-lattice velocity relation.
+half-lines.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ class ZeroRangeState:
 
     occupancy: tuple
     ring: bool
-    spacings: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "occupancy", tuple(int(c) for c in self.occupancy))
@@ -39,13 +37,6 @@ class ZeroRangeState:
                 raise ConfigurationError(f"negative occupancy {c}")
         if self.ring and not self.occupancy:
             raise ConfigurationError("ring lattice needs at least one site")
-        if self.spacings is not None:
-            object.__setattr__(self, "spacings", tuple(self.spacings))
-            if len(self.spacings) != len(self.occupancy):
-                raise ConfigurationError("one spacing per site required")
-            for ell in self.spacings:
-                if ell < 0:
-                    raise ConfigurationError(f"negative site spacing {ell}")
 
     @property
     def sites(self) -> int:
@@ -54,15 +45,6 @@ class ZeroRangeState:
     @property
     def total(self) -> int:
         return sum(self.occupancy)
-
-    def lattice_density(self) -> Scalar:
-        """Sites per unit length: 1 for the unit lattice, K / sum of spacings otherwise."""
-        if self.spacings is None:
-            return 1
-        width = sum(self.spacings)
-        if not width > 0:
-            raise DegenerateInputError("lattice has zero total width")
-        return _ratio(self.sites, width)
 
 
 def zr_step(s: ZeroRangeState) -> ZeroRangeState:
@@ -76,19 +58,14 @@ def zr_step(s: ZeroRangeState) -> ZeroRangeState:
             occ[i] - (1 if occ[i] > 0 else 0) + (1 if occ[i - 1] > 0 else 0)
             for i in range(k)
         )
-        return ZeroRangeState(new, True, s.spacings)
+        return ZeroRangeState(new, True)
     new = [
         occ[i] - (1 if occ[i] > 0 else 0) + (1 if i > 0 and occ[i - 1] > 0 else 0)
         for i in range(k)
     ]
     if occ[-1] > 0:
         new.append(1)
-    return ZeroRangeState(tuple(new), False, None if s.spacings is None else _grow(s.spacings))
-
-
-def _grow(spacings: tuple) -> tuple:
-    # a new rightmost site inherits the last spacing
-    return spacings + (spacings[-1],)
+    return ZeroRangeState(tuple(new), False)
 
 
 def zr_trajectory(s: ZeroRangeState, steps: int):

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
 
@@ -15,7 +16,6 @@ from contasep import (
     build_extended,
     extended_density,
     format_scalar,
-    gap,
     parse_scalar,
 )
 from contasep.core import INFINITY
@@ -32,6 +32,13 @@ def make_field(positions, domain, waits=None, velocities=None, top=None):
     if top is None:
         top = max(velocities, default=1)
     return ObstacleField(positions, waits, velocities, top, domain)
+
+
+def lookup(z, p):
+    """z.table read at p: its segment speed, and the distance to and index
+    of the next obstacle strictly ahead (INFINITY and -1 when none)."""
+    k = bisect_right(z.positions, p)
+    return z.table[0][k], z.obstacle_distance(k, p), z.table[3][k] - 1
 
 
 def test_parse_scalar_exact_gives_rationals():
@@ -75,23 +82,6 @@ def test_from_iterable_sorts_and_keeps_duplicates():
 def test_equispaced_ring_layout():
     x = ParticleConfig.equispaced(Ring(6), 3, F(1, 2))
     assert x.positions == (F(1, 2), F(5, 2), F(9, 2))
-
-
-def test_gap_line_interior_and_open_end():
-    x = ParticleConfig.from_iterable((0, 5), HALF_LINE)
-    assert gap(x, 0) == 5
-    assert gap(x, 1) == INFINITY
-
-
-def test_gap_ring_wraps():
-    x = ParticleConfig.from_iterable((F(1, 2), F(5, 2), F(9, 2)), Ring(6))
-    assert gap(x, 2) == 2
-
-
-def test_gap_index_out_of_range():
-    x = ParticleConfig.from_iterable((0,), HALF_LINE)
-    with pytest.raises(IndexError):
-        gap(x, 1)
 
 
 def test_build_extended_inserts_virtual_points():
@@ -160,49 +150,42 @@ def test_refine_waiting_preserves_distinct_positions():
 
 def test_segment_velocity_uses_segment_ahead():
     z = make_field((2, 6), Ring(10), velocities=(F(1, 2), 2), top=2)
-    assert z.segment_velocity(2) == F(1, 2)      # exactly on an obstacle
-    assert z.segment_velocity(4) == F(1, 2)
-    assert z.segment_velocity(7) == 2
-    assert z.segment_velocity(1) == 2            # wraps to the last segment
+    assert lookup(z, 2)[0] == F(1, 2)            # exactly on an obstacle
+    assert lookup(z, 4)[0] == F(1, 2)
+    assert lookup(z, 7)[0] == 2
+    assert lookup(z, 1)[0] == 2                  # wraps to the last segment
 
 
-# The step rule's one lookup: both engines and InvariantChecker read
-# ObstacleField.table, so its entries are pinned by hand here.
+# The step rule's one lookup: both engines, InvariantChecker and is_proper
+# read ObstacleField.table, the last two through obstacle_distance, so its
+# entries are pinned by hand here.
 def test_table_on_a_ring():
     z = make_field((2, 6), Ring(10), velocities=(F(1, 2), 2), top=3)
     assert z.table == ((2, F(1, 2), 2), (2, 6, 2), (0, 0, 1), (1, 2, 1))
-    assert z.next_ahead(2) == (4, 1)             # on an obstacle: the next one
-    assert z.segment_velocity(2) == F(1, 2)
-    assert z.next_ahead(1) == (1, 0)
-    assert z.segment_velocity(1) == 2
-    assert z.next_ahead(6) == (6, 0)             # on the last obstacle: across the seam
-    assert z.next_ahead(F(13, 2)) == (F(11, 2), 0)
-    assert z.segment_velocity(F(13, 2)) == 2
+    assert lookup(z, 2) == (F(1, 2), 4, 1)       # on an obstacle: the next one
+    assert lookup(z, 1) == (2, 1, 0)
+    assert lookup(z, 6)[1:] == (6, 0)            # on the last obstacle: across the seam
+    assert lookup(z, F(13, 2)) == (2, F(11, 2), 0)
 
 
 def test_table_on_an_empty_ring():
     z = make_field((), Ring(10), top=F(3, 2))
     # one lap on, so it is never nearer than a wrapped move
     assert z.table == ((F(3, 2),), (INFINITY,), (1,), (0,))
-    assert z.next_ahead(0) == (INFINITY, -1)
-    assert z.next_ahead(F(19, 2)) == (INFINITY, -1)
-    assert z.segment_velocity(F(19, 2)) == F(3, 2)
+    assert lookup(z, 0)[1:] == (INFINITY, -1)
+    assert lookup(z, F(19, 2)) == (F(3, 2), INFINITY, -1)
 
 
 def test_table_on_a_line():
     z = make_field((2, 6), Line(0, 20), velocities=(F(1, 2), 2), top=3)
     assert z.table == ((3, F(1, 2), 2), (2, 6, INFINITY), (0, 0, 0), (1, 2, 0))
-    assert z.next_ahead(1) == (1, 0)             # left of every obstacle
-    assert z.segment_velocity(1) == 3
-    assert z.next_ahead(2) == (4, 1)
-    assert z.segment_velocity(2) == F(1, 2)
-    assert z.next_ahead(6) == (INFINITY, -1)     # on and past the last obstacle
-    assert z.next_ahead(15) == (INFINITY, -1)
-    assert z.segment_velocity(15) == 2
+    assert lookup(z, 1) == (3, 1, 0)             # left of every obstacle
+    assert lookup(z, 2) == (F(1, 2), 4, 1)
+    assert lookup(z, 6)[1:] == (INFINITY, -1)    # on and past the last obstacle
+    assert lookup(z, 15) == (2, INFINITY, -1)
     empty = make_field((), HALF_LINE, top=F(3, 2))
     assert empty.table == ((F(3, 2),), (INFINITY,), (0,), (0,))
-    assert empty.next_ahead(5) == (INFINITY, -1)
-    assert empty.segment_velocity(5) == F(3, 2)
+    assert lookup(empty, 5) == (F(3, 2), INFINITY, -1)
 
 
 def test_obstacle_field_validates_lengths():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from contasep import (
     TrajectoryWriter,
     build_extended,
     displacements,
-    gap,
     run,
     run_coupled,
     step,
@@ -64,7 +64,7 @@ def test_trailing_particle_blocked_once_then_follows():
     state = step(state, z)
     assert positions_of(state) == (3, 5)
     state = step(state, z)
-    assert gap(state.config(), 0) == 2
+    assert state.reps[1] - state.reps[0] == 2
 
 
 def test_step_leaves_input_untouched():
@@ -311,8 +311,10 @@ def test_fast_path_reports_zero_invariant_violations():
 
 def test_fast_path_counts_violations_like_the_checker():
     # particle 1 stands ahead of particle 2, out of order: it snaps back onto
-    # its "neighbour" at 0.5, a negative displacement that leaves the ring
-    # order broken; both counters see exactly those two violations
+    # its "neighbour" at 0.5, a negative displacement. Particle 0 moves onto
+    # particle 1's old 6.2 and particles 2 and 3 move up, within bounds, so
+    # both counters see exactly that one violation; the order it leaves
+    # broken was broken before the step
     ring = Ring(8.0)
     z = ObstacleField.empty(ring, 1.0)
 
@@ -323,9 +325,10 @@ def test_fast_path_counts_violations_like_the_checker():
     checker = InvariantChecker(z)
     slow = run(broken(), z, 1, observers=(checker,))
     assert fast.final_state.reps == slow.final_state.reps == (6.2, 0.5, 0.7, 1.7)
-    assert fast.invariant_violations == len(checker.violations) == 2
+    assert fast.invariant_violations == len(checker.violations) == 1
 
-    # Over 100 steps the state sorts itself out after two steps and repeats,
+    # At t=1 particle 0, at 6.2 with particle 1 at 0.5, snaps back the same
+    # way, a second violation. Then the state sorts itself out and repeats,
     # a lap on, every 8 steps. The kernel stops stepping once it is sure of
     # that, and must still end where 100 one-step runs and the scalar
     # engine end, with their violation count.
@@ -343,7 +346,7 @@ def test_fast_path_counts_violations_like_the_checker():
     assert fast.final_state.reps == stepped.reps == slow.final_state.reps
     assert fast.final_state.laps == stepped.laps == slow.final_state.laps
     assert fast.snapshots[100] == slow.snapshots[100]
-    assert fast.invariant_violations == count == len(checker.violations) == 3
+    assert fast.invariant_violations == count == len(checker.violations) == 2
 
 
 @pytest.mark.parametrize("num", [F, float])
@@ -436,8 +439,117 @@ def test_order_and_monotonicity_preserved(case):
         before, after = prev.unwrapped(), state.unwrapped()
         assert all(b <= a for b, a in zip(before, after))
         assert all(after[i] <= after[i + 1] for i in range(len(after) - 1))
-        caps = [z.segment_velocity(p) for p in prev.reps]
+        caps = [z.table[0][bisect_right(z.positions, p)] for p in prev.reps]
         assert all(0 <= d <= c for d, c in zip(displacements(prev, state), caps))
+
+
+# InvariantChecker bounds each move by its cap, its next obstacle and its
+# neighbour's old position. The order of the state after a step and the
+# counts of fixed intervals need no check of their own: moves in those
+# bounds from a state in order keep the order and pass at most one particle
+# over any point, and a state out of order makes some move break them. The
+# oracle below is that order check and interval-count check.
+def count_intervals(domain):
+    """Fixed test intervals: 8 on a ring, 4 on a finite line."""
+    if isinstance(domain, Ring):
+        length = domain.length
+        return [(k * length / 8, min(k * length / 8 + 3 * length / 16, length)) for k in range(8)]
+    start, width = domain.start, domain.end - domain.start
+    return [(start + k * width / 4, start + k * width / 4 + width / 5) for k in range(4)]
+
+
+def order_or_count_fault(before, after):
+    """Whether the state after a step is out of order, across a ring's seam
+    too, or a fixed interval's count changed by more than 1."""
+    u = after.unwrapped()
+    if any(a > b for a, b in zip(u, u[1:])):
+        return True
+    if isinstance(after.domain, Ring) and u and u[-1] > u[0] + after.domain.length:
+        return True
+    return any(
+        abs(sum(a <= r < b for r in after.reps) - sum(a <= r < b for r in before.reps)) > 1
+        for a, b in count_intervals(after.domain)
+    )
+
+
+def as_float(z, state):
+    """The float images of field z and state."""
+    d = z.domain
+    domain = Ring(float(d.length)) if isinstance(d, Ring) else Line(float(d.start), float(d.end))
+    zf = ObstacleField(
+        tuple(map(float, z.positions)), z.waits, tuple(map(float, z.velocities)), float(z.top_speed), domain
+    )
+    return zf, SimState(tuple(map(float, state.reps)), state.laps, state.wait_remaining, state.time, domain)
+
+
+@st.composite
+def step_pairs(draw):
+    """(z, before, after) on quarter points of a ring or a finite line, with
+    waits of 0-2: the state before, in order or scrambled (3 of the 10
+    values of a draw), and the state after its step, as stepped or with
+    some particles moved (6 of 10)."""
+    ring = draw(st.booleans())
+    domain = Ring(F(draw(st.integers(4, 16)), 2)) if ring else Line(F(-1, 2), F(draw(st.integers(4, 16)), 2))
+    start = 0 if ring else domain.start
+    slots = int(4 * (domain.length if ring else domain.end - start))
+    picks = draw(st.lists(st.integers(0, slots - 1), max_size=4, unique=True))
+    m = len(picks)
+    z = ObstacleField(
+        tuple(sorted(start + F(p, 4) for p in picks)),
+        tuple(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))),
+        tuple(draw(st.lists(st.sampled_from((F(1, 2), F(1), F(3, 2))), min_size=m, max_size=m))),
+        F(3, 2),
+        domain,
+    )
+    reps = sorted(start + F(p, 4) for p in draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=6)))
+    n = len(reps)
+    laps = [0] * n
+    if draw(st.integers(0, 9)) < 3:
+        reps = draw(st.permutations(reps))
+        if ring:
+            laps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    waiting = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    before = SimState(reps, laps, waiting, 0, domain)
+    after = step(before, z)
+    if draw(st.integers(0, 9)) < 6:
+        reps, laps = list(after.reps), list(after.laps)
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            reps[i] += F(draw(st.integers(-8, 8)), 4)
+            if ring:
+                lap, reps[i] = divmod(reps[i], domain.length)
+                laps[i] += lap
+        after = SimState(reps, laps, after.wait_remaining, after.time, domain)
+    return z, before, after
+
+
+@settings(max_examples=300)
+@given(step_pairs())
+def test_checker_flags_every_step_the_order_and_count_checks_flag(case):
+    z, before, after = case
+    checker = InvariantChecker(z)
+    checker(before, after)
+    if order_or_count_fault(before, after):
+        assert checker.violations
+    # the kernel counts the same faults in the step itself
+    zf, before_f = as_float(z, before)
+    if dynamics._fast_eligible(before_f, zf):
+        checker = InvariantChecker(z)
+        checker(before, step(before, z))
+        assert run(before_f, zf, 1).invariant_violations == len(checker.violations)
+
+
+def test_checker_flags_a_pass_that_keeps_the_order():
+    # particle 0 moves 1/2 from 0, within its cap, past particle 1's old 1/4;
+    # particle 1 moves 3/4 to 1. The order holds and [0, 3/2) keeps both, so
+    # the order and interval-count checks see nothing
+    ring = Ring(F(8))
+    z = ObstacleField.empty(ring, F(1))
+    before = SimState([F(0), F(1, 4)], [0, 0], [0, 0], 0, ring)
+    after = SimState([F(1, 2), F(1)], [0, 0], [0, 0], 1, ring)
+    assert not order_or_count_fault(before, after)
+    checker = InvariantChecker(z)
+    checker(before, after)
+    assert checker.violations == ["t=0 i=0: passed the next particle's old position by 1/4"]
 
 
 def test_determinism_bit_identical_reruns():

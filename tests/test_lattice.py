@@ -36,7 +36,6 @@ from contasep import (
 from contasep.core import INFINITY, _Unscale, to_lattice
 from contasep import coupling, dynamics
 from contasep.coupling import _canonical_key
-from contasep.dynamics import default_intervals
 from contasep.scenarios import poisson_obstacles
 
 F = Fraction
@@ -289,20 +288,27 @@ def test_invariant_checker_messages_in_input_units():
 
 
 def test_int_length_checker_reports_like_a_fraction_length():
-    # interval bounds are exact for an int length, so an int ring reports
-    # the same violations, bounds in messages included, as a Fraction ring
+    # the ring's length enters the last particle's bounds, so an int ring
+    # reports the same violations, values in messages included, as a
+    # Fraction ring: on a run, and on a step that takes the last particle
+    # from 15/2 to 3/4 a lap on, 5/4 with a cap of 1, 1/2 short of the
+    # obstacle at 0 and 1 short of particle 0's old 1/2, both a lap on
     def audit(length):
         ring = Ring(length)
         z = ObstacleField((0, 4), (0, 0), (1, 1), 1, ring)
         checker = InvariantChecker(z)
         run(SimState([1, 4, F(7, 4)], [0] * 3, [0] * 3, 0, ring), z, 2, observers=(checker,))
+        before = SimState([F(1, 2), 4, F(15, 2)], [0] * 3, [0] * 3, 5, ring)
+        checker(before, SimState([F(1, 2), 4, F(3, 4)], [0, 0, 1], [0] * 3, 6, ring))
         return checker.violations
 
-    assert audit(8) == audit(F(8))
-    assert "t=0: interval [2,7/2) count jumped by 2" in audit(8)
-    for domain in (Ring(8), Line(-1, 12)):
-        assert all(type(v) is Fraction for ab in default_intervals(domain) for v in ab)
-    assert all(type(v) is float for ab in default_intervals(Ring(8.0)) for v in ab)
+    assert audit(8) == audit(F(8)) == [
+        "t=0 i=1: negative displacement -9/4",
+        "t=1 i=0: negative displacement -1/4",
+        "t=5 i=2: displacement 5/4 above cap 1",
+        "t=5 i=2: obstacle barrier crossed by 3/4",
+        "t=5 i=2: passed the next particle's old position by 1/4",
+    ]
 
 
 def coupled_step(state):

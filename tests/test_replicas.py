@@ -9,7 +9,6 @@ replay, as well. Positions on
 quarter points and speeds in {1/2, 1, 3/2} keep every float sum exact, so
 the comparisons are equalities.
 """
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -198,40 +197,30 @@ def test_replay_matches_one_step_runs_and_fraction_steps(case, steps, data):
     assert_replay_matches_stepping(z, states, steps, times)
 
 
-# Pinned cases for the kernel's carried interval bins. On Ring(8) the
-# intervals are [k, k + 3/2), so the edges are 0..8 in steps of 1/2 except 1/2.
+# Pinned cases on Ring(8) with obstacles at 0 (speed 1/2) and 4 (speed 1).
 RING_8 = ObstacleField((F(0), F(4)), (0, 0), (F(1, 2), F(1)), F(3, 2), Ring(8))
-EDGES_8 = sorted({b for ab in dynamics.default_intervals(RING_8.domain) for b in ab})
-
-
-def bin_of(position):
-    return bisect_right(EDGES_8, position)
-
-
-def movers(before, after):
-    """How many particles changed bin in one step."""
-    return sum(bin_of(a) != bin_of(b) for a, b in zip(before.reps, after.reps))
 
 
 def count_change(before, after, a, b):
     return sum(a <= r < b for r in after.reps) - sum(a <= r < b for r in before.reps)
 
 
-def jumps(before, after):
-    """How many interval counts changed by more than 1 in one step."""
-    return sum(abs(count_change(before, after, a, b)) > 1 for a, b in dynamics.default_intervals(RING_8.domain))
+def flagged(before, after):
+    """The particles InvariantChecker flags in one step."""
+    checker = InvariantChecker(RING_8)
+    checker(before, after)
+    return sorted({int(v.split(" i=")[1].split(":")[0]) for v in checker.violations})
 
 
 def test_particles_on_interval_edges():
-    # moves of 1/2 and 1 from edges land on edges, except those onto 1/2
+    # moves of 1/2 and 1 from half points land on half points
     reps = [F(1), F(2), F(7, 2), F(5), F(15, 2)]
-    assert all(r in EDGES_8 for r in reps)
     (pairs,) = assert_batch_matches(RING_8, [(reps, [0] * 5)], 8)
-    assert all(sum(r in EDGES_8 for r in after.reps) >= 4 for _, after in pairs)
+    assert all((2 * r).denominator == 1 for _, after in pairs for r in after.reps)
 
 
 def test_ring_replica_crosses_the_seam():
-    # each particle lands on 0 exactly, from the last bin to bin 1
+    # each particle lands on 0 exactly, a lap on
     (pairs,) = assert_batch_matches(RING_8, [([F(2), F(15, 2)], [0, 0])], 9)
     wraps = [
         (t, i) for t, (before, after) in enumerate(pairs) for i in range(2)
@@ -242,30 +231,35 @@ def test_ring_replica_crosses_the_seam():
 
 
 def test_scrambled_particles_move_backwards_across_bins():
-    # out of order, the first particle's gap target lies behind it
+    # out of order, the first particle's gap target lies more than a unit
+    # behind it, and only that move is flagged
     (pairs,) = assert_batch_matches(RING_8, [([F(13, 2), F(1, 4), F(3)], [0, 0, 1])], 4)
     before, after = pairs[0]
-    assert displacements(before, after)[0] < 0
-    assert bin_of(before.reps[0]) - bin_of(after.reps[0]) > 1
+    assert displacements(before, after)[0] < -1
+    assert flagged(before, after) == [0]
 
 
-# Out of order: particles 0 and 2 jump back onto the edge 0, into [0, 3/2),
-# while particles 1 and 3 move from 0 to 1/2 and stay in their bin.
+# Out of order: particles 0 and 2 jump back onto 0, into [0, 3/2), while
+# particles 1 and 3 move from 0 to 1/2.
 PAIR = ([F(5), F(0), F(6), F(0)], [0, 0, 0, 0])
 
 
 def test_one_mover_and_two_movers_into_one_interval():
+    # two particles entering one interval in a step are each flagged as
+    # moving back; one entering one, from 3/4 to 5/4, is no fault
     lone = ([F(3, 4)], [0])
     lone_pairs, pair_pairs = assert_batch_matches(RING_8, [lone, PAIR], 1)
-    assert movers(*lone_pairs[0]) == 1
-    assert movers(*pair_pairs[0]) == 2
+    assert count_change(*lone_pairs[0], 1, F(5, 2)) == 1
     assert count_change(*pair_pairs[0], 0, F(3, 2)) == 2
+    assert flagged(*lone_pairs[0]) == []
+    assert flagged(*pair_pairs[0]) == [0, 2]
 
 
 def test_replicas_of_different_sizes():
-    # In the first step the middle replica's count of [0, 3/2) jumps by 2,
-    # and the other two each move one particle into it: no jump, though the
-    # batch as a whole moves four particles into it.
+    # In the first step the middle replica's count of [0, 3/2) grows by 2,
+    # and the other two each move one particle into it: only the middle
+    # one's step is flagged, though the batch as a whole moves four
+    # particles into it.
     states = [
         ([F(15, 2)], [0]),
         PAIR,
@@ -273,7 +267,7 @@ def test_replicas_of_different_sizes():
     ]
     first = [pairs[0] for pairs in assert_batch_matches(RING_8, states, 5)]
     assert [count_change(*pair, 0, F(3, 2)) for pair in first] == [1, 2, 1]
-    assert [jumps(*pair) > 0 for pair in first] == [False, True, False]
+    assert [flagged(*pair) for pair in first] == [[], [0, 2], []]
 
 
 # Pinned cases for the table entries with no obstacle ahead, which random
@@ -401,16 +395,16 @@ def test_replicas_of_different_periods_and_one_that_never_repeats(monkeypatch):
 
 
 def test_violations_recur_every_period():
-    # Particle 1 stands two laps ahead of particle 2. From t=2 on, each step
+    # Particle 1 stands two laps ahead of particle 2. From t=3 on, each step
     # one particle snaps back half a unit onto its neighbour's old position:
-    # a negative displacement and a broken order, 2 violations a step. The
-    # repeat is found at t=4, so both runs replay, the longer one 90 more
-    # periods.
+    # a negative displacement, 1 violation a step; the others move up to
+    # their neighbours' old positions, within their bounds. The repeat is
+    # found at t=4, so both runs replay, the longer one 90 more periods.
     z = ObstacleField.empty(Ring(4), F(3, 2))
     state = ([F(0), F(1, 2), F(1, 4), F(0)], [-2, 2, 0, 0])
     short, long = (assert_replay_matches_stepping(z, [state], steps)[0] for steps in (10, 100))
     assert short.cycle == long.cycle == (1, 1, 0)
-    assert long.invariant_violations - short.invariant_violations == 2 * 90
+    assert long.invariant_violations - short.invariant_violations == 1 * 90
 
 
 def test_lap_counts_that_could_pass_int64_are_refused():

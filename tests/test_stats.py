@@ -21,7 +21,6 @@ from contasep import (
     run,
     velocity,
     velocity_estimate,
-    velocity_spread,
 )
 from contasep.core import INFINITY
 from contasep.scenarios import poisson_obstacles
@@ -179,7 +178,7 @@ def test_velocity_estimate_mean_and_spread():
 def test_velocity_spread_single_particle():
     z = ObstacleField.empty(HALF_LINE, 1)
     traj = run(SimState.initial(ParticleConfig.from_iterable((2,), HALF_LINE)), z, 5)
-    assert velocity_spread(traj) == 0
+    assert velocity_estimate(traj).spread == 0
 
 
 def test_velocity_spread_decays_on_liquid_ring():
@@ -188,6 +187,6 @@ def test_velocity_spread_decays_on_liquid_ring():
     pos = sorted(rng.uniform(0.0, 30.0) for _ in range(45))
     x = ParticleConfig.from_iterable(pos, ring)
     z = ObstacleField.empty(ring, 1.0)
-    early = velocity_spread(run(SimState.initial(x), z, 100))
-    late = velocity_spread(run(SimState.initial(x), z, 10000))
+    early = velocity_estimate(run(SimState.initial(x), z, 100)).spread
+    late = velocity_estimate(run(SimState.initial(x), z, 10000)).spread
     assert late < early

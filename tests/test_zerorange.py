@@ -44,16 +44,6 @@ def test_occupancy_rejects_negative():
         ZeroRangeState((1, -1), ring=True)
 
 
-def test_spacings_validated():
-    with pytest.raises(ConfigurationError):
-        ZeroRangeState((1, 1), ring=True, spacings=(1,))
-
-
-def test_lattice_density_with_spacings():
-    s = ZeroRangeState((1, 0, 2), ring=True, spacings=(2, 2, 2))
-    assert s.lattice_density() == F(1, 2)
-
-
 occupancies = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8)
 
 
